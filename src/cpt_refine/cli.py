@@ -13,7 +13,8 @@ Subcommands::
 
 Exit codes: 0 success, 2 validation failure, 3 shape mismatch, 4 search
 space guard exceeded. The CPT_REFINE_THREADS environment variable caps the
-worker count of the SICI partition sweep; it never changes the results.
+worker count of the SICI partition sweep; it never changes the results, and
+the sweep's progress lines print with any worker count.
 """
 
 from __future__ import annotations

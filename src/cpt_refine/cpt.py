@@ -85,7 +85,8 @@ class Cpt:
             raise ValidationError(
                 f"rows must have shape ({n_rows}, {child.cardinality}), got {arr.shape}"
             )
-        if np.any(arr < -_RENORM_EPS) or np.any(arr > 1 + _RENORM_EPS):
+        # written so that NaN, which fails every comparison, is rejected too
+        if not np.all((arr >= -_RENORM_EPS) & (arr <= 1 + _RENORM_EPS)):
             raise ValidationError("probabilities must lie in [0, 1]")
         sums = arr.sum(axis=1)
         dev = np.abs(sums - 1.0)

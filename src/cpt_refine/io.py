@@ -62,6 +62,8 @@ def load_cpt(path: str | Path) -> Cpt:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: the document must be a JSON object")
     if doc.get("format") != SCHEMA_FORMAT:
         raise ValidationError(f"{path}: unsupported format {doc.get('format')!r}")
     child = _parse_variable(doc.get("child", {}), "child")
@@ -75,10 +77,12 @@ def load_cpt(path: str | Path) -> Cpt:
         )
     rows = np.empty((expected.shape[0], child.cardinality))
     for k, entry in enumerate(rows_doc):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{path}: row {k + 1} must be a JSON object")
         config = entry.get("config")
         probs = entry.get("probs")
-        if config is None or probs is None:
-            raise ValidationError(f"{path}: row {k + 1} needs 'config' and 'probs'")
+        if not isinstance(config, list) or not isinstance(probs, list):
+            raise ValidationError(f"{path}: row {k + 1} needs 'config' and 'probs' lists")
         if len(config) != len(parents):
             raise ValidationError(f"{path}: row {k + 1} config has {len(config)} entries")
         indices = []
@@ -100,6 +104,8 @@ def load_cpt(path: str | Path) -> Cpt:
                 f"{path}: row {k + 1} ({want}) has {len(probs)} probabilities, "
                 f"need {child.cardinality}"
             )
+        if not all(isinstance(p, (int, float)) for p in probs):
+            raise ValidationError(f"{path}: row {k + 1} ({want}) probabilities must be numbers")
         vec = np.asarray(probs, dtype=np.float64)
         dev = abs(float(vec.sum()) - 1.0)
         if dev > LOAD_TOLERANCE:

@@ -19,7 +19,11 @@ Three layers:
   1e-4 and 0.1 (the heavy tail of small steps is what lets runs polish
   optima to the 1e-3 level; a fixed 0.1 scale stalls around 1e-2),
   combiner genes resample uniformly. Identical seed and config give
-  bitwise-identical results.
+  bitwise-identical results. ``ga_optimize`` takes one batch fitness that
+  scores a whole (population, genes) matrix per call. For ICI and SICI it
+  is the forward pass of the spec evaluators in ``refine`` run over the
+  population at once; ICI is searched and evaluated as US-SICI with
+  singleton parent blocks.
 
 The mechanism configuration (0, ..., 0) is pinned to child state 0: any
 non-trivial deterministic combiner can be brought to that form by flipping
@@ -37,14 +41,16 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .cpt import Cpt, config_table
+from .cpt import Cpt
 from .errors import SearchSpaceError, ValidationError
 from .refine import (
     IciSpec,
     ScmSpec,
     SiciSpec,
+    _mech_config_products,
+    _mech_param_index,
     canonical_partition,
-    param_savings,
+    evaluate_spec,
     scm_fit,
 )
 
@@ -273,7 +279,7 @@ def optimize_scm_ga(
             + np.where(empty_b, 1e9, 0.0)
         )
 
-    result = ga_optimize(None, shape, config, batch_fitness=batch, on_progress=on_progress)
+    result = ga_optimize(batch, shape, config, on_progress=on_progress)
     spec = ScmSpec(result.best_spec.integer_part)
     return SearchResult(
         spec,
@@ -290,24 +296,17 @@ def optimize_scm_ga(
 
 
 def ga_optimize(
-    fitness: Callable[[Genome], float] | None,
+    batch_fitness: Callable[[np.ndarray], np.ndarray],
     shape: GenomeShape,
     config: GaConfig,
-    batch_fitness: Callable[[np.ndarray], np.ndarray] | None = None,
     on_progress: ProgressFn | None = None,
 ) -> SearchResult:
     """Minimise a fitness over the mixed encoding; best of ``config.restarts`` runs.
 
-    ``batch_fitness`` maps a (population, n_genes) matrix to a score vector
-    and takes precedence over the per-genome ``fitness`` when given. Restart
-    r is seeded with config.seed + r; identical seed and config give
+    ``batch_fitness`` maps a (population, n_genes) matrix to a score vector.
+    Restart r is seeded with config.seed + r; identical seed and config give
     bitwise-identical results.
     """
-    if fitness is None and batch_fitness is None:
-        raise ValidationError("need a fitness function")
-    if batch_fitness is None:
-        batch_fitness = lambda pop: np.array([fitness(shape.decode(x)) for x in pop])
-
     best_score = np.inf
     best_vec: np.ndarray | None = None
     best_seed = config.seed
@@ -316,7 +315,7 @@ def ga_optimize(
     for r in range(config.restarts):
         seed = config.seed + r
         score, vec, gens, evals = _ga_single_run(
-            batch_fitness, shape.n_genes, shape, config, seed, evaluations, on_progress
+            batch_fitness, shape, config, seed, evaluations, on_progress
         )
         evaluations += evals
         generations += gens
@@ -329,7 +328,6 @@ def ga_optimize(
 
 def _ga_single_run(
     batch_fitness: Callable[[np.ndarray], np.ndarray],
-    n_genes: int,
     shape: GenomeShape,
     config: GaConfig,
     seed: int,
@@ -338,6 +336,7 @@ def _ga_single_run(
 ) -> tuple[float, np.ndarray, int, int]:
     rng = np.random.default_rng(seed)
     pop_size = config.population
+    n_genes = shape.n_genes
     n_comb = shape.combiner_configs - 1
     is_comb = np.arange(n_genes) < n_comb
 
@@ -403,56 +402,24 @@ def _partition_batch_fitness(
     """Vectorised sum-TVD objective for a US-SICI structure on a binary child.
 
     Returns (batch fitness over a population matrix, genome shape, block
-    sizes of the real-gene segments in block order).
+    sizes of the real-gene segments in block order). The mechanism products
+    are the ones the spec evaluators use, taken over the population at once.
     """
-    cards = truth.parent_cards
-    states = config_table(cards)
+    gene_idx, block_sizes = _mech_param_index(truth.parent_cards, partition)
     t_yes = truth.rows[:, 1]
-    m = len(partition)
-    n_mconf = 1 << m
-
-    gene_cols = []
-    block_sizes = []
-    offset = 0
-    for block in partition:
-        stride = 1
-        idx = np.zeros(truth.n_rows, dtype=np.int64)
-        for i in block:
-            idx += states[:, i] * stride
-            stride *= cards[i]
-        size = math.prod(cards[i] for i in block)
-        gene_cols.append(idx + offset)
-        block_sizes.append(size)
-        offset += size
-    gene_idx = np.stack(gene_cols, axis=1)  # (rows, m)
-    bits = ((np.arange(n_mconf)[:, None] >> np.arange(m)[None, :]) & 1).astype(bool)
+    n_mconf = 1 << len(partition)
     n_comb = n_mconf - 1
 
     def batch(pop: np.ndarray) -> np.ndarray:
-        reals = pop[:, n_comb:]
-        p1 = reals[:, gene_idx]  # (pop, rows, m)
-        joint = np.ones((pop.shape[0], truth.n_rows, n_mconf))
-        for b in range(m):
-            col = p1[:, :, b][:, :, None]
-            joint *= np.where(bits[None, None, :, b], col, 1.0 - col)
+        joint = _mech_config_products(pop[:, n_comb:][:, gene_idx])  # (pop, rows, 2^m)
         to_yes = np.concatenate(
             [np.zeros((pop.shape[0], 1)), (pop[:, :n_comb] >= 0.5).astype(np.float64)], axis=1
         )
         p_yes = np.einsum("prj,pj->pr", joint, to_yes)
         return np.abs(p_yes - t_yes[None, :]).sum(axis=1)
 
-    return batch, GenomeShape(n_mconf, offset, truth.child.cardinality), tuple(block_sizes)
-
-
-def _genome_to_sici(
-    genome: Genome, partition: tuple[tuple[int, ...], ...], block_sizes: tuple[int, ...]
-) -> SiciSpec:
-    mech = []
-    offset = 0
-    for size in block_sizes:
-        mech.append(tuple(genome.real_part[offset : offset + size].tolist()))
-        offset += size
-    return SiciSpec(partition, tuple(mech), combiner=genome.integer_part)
+    shape = GenomeShape(n_mconf, sum(block_sizes), truth.child.cardinality)
+    return batch, shape, block_sizes
 
 
 def optimize_sici_partition(
@@ -461,20 +428,20 @@ def optimize_sici_partition(
     config: GaConfig,
     on_progress: ProgressFn | None = None,
 ) -> SearchResult:
-    """GA search of one US-SICI structure: combiner and mechanism tables jointly."""
+    """GA search of one US-SICI structure: combiner and mechanism tables jointly.
+
+    The reported score is the best spec's re-scored fit, so it equals what
+    :func:`evaluate_spec` gives for that spec bitwise.
+    """
     if truth.child.cardinality != 2:
         raise ValidationError("the SICI objective requires a binary child")
     part = canonical_partition(partition)
     batch, shape, block_sizes = _partition_batch_fitness(truth, part)
-    result = ga_optimize(None, shape, config, batch_fitness=batch, on_progress=on_progress)
-    spec = _genome_to_sici(result.best_spec, part, block_sizes)
-    return replace_spec(result, spec)
-
-
-def replace_spec(result: SearchResult, spec: object) -> SearchResult:
-    return SearchResult(
-        spec, result.best_score, result.evaluations, result.seed_used, result.generations_run
-    )
+    result = ga_optimize(batch, shape, config, on_progress=on_progress)
+    genome = result.best_spec
+    mech = np.split(genome.real_part, np.cumsum(block_sizes)[:-1])
+    spec = SiciSpec(part, mech, combiner=genome.integer_part)
+    return replace(result, best_spec=spec, best_score=evaluate_spec(truth, spec).score)
 
 
 def optimize_ici(
@@ -491,7 +458,7 @@ def optimize_ici(
     singletons = tuple((i,) for i in range(n))
     result = optimize_sici_partition(truth, singletons, config, on_progress)
     sici: SiciSpec = result.best_spec
-    return replace_spec(result, IciSpec(sici.mech_cpts, sici.combiner))
+    return replace(result, best_spec=IciSpec(sici.mech_cpts, sici.combiner))
 
 
 def _run_partition(args) -> SearchResult:
@@ -519,29 +486,27 @@ def optimize_sici(
         for pi, part in enumerate(partitions)
     ]
 
+    results: list[SearchResult] = []
+
+    def collect(outcomes: Iterator[SearchResult]) -> None:
+        for result in outcomes:
+            results.append(result)
+            if on_progress is not None:
+                on_progress(len(results), len(jobs), min(r.best_score for r in results))
+
     workers = worker_count()
-    results: list[SearchResult]
     if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_partition, jobs))
+                collect(pool.map(_run_partition, jobs))
         except OSError:
-            results = [_run_partition(job) for job in jobs]
+            # the pool could not start or broke: run the partitions not yet collected here
+            collect(map(_run_partition, jobs[len(results):]))
     else:
-        results = []
-        for done, job in enumerate(jobs, start=1):
-            results.append(_run_partition(job))
-            if on_progress is not None:
-                best = min(r.best_score for r in results)
-                on_progress(done, len(jobs), best)
+        collect(map(_run_partition, jobs))
 
     best = results[0]
     for r in results[1:]:
         if r.best_score < best.best_score:
             best = r
     return SiciSweep(tuple(results), best)
-
-
-def spec_free_params(truth: Cpt, result: SearchResult) -> int:
-    free, _ = param_savings(result.best_spec, truth.parent_cards, truth.child.cardinality)
-    return free

@@ -367,21 +367,20 @@ def _require_binary(child: Variable) -> None:
         raise ValidationError("deterministic-combiner models require a binary child")
 
 
-def _mech_config_products(
-    mech_p1: np.ndarray,
-) -> np.ndarray:
+def _mech_config_products(mech_p1: np.ndarray) -> np.ndarray:
     """Joint mechanism probabilities per row.
 
-    ``mech_p1`` has shape (n_rows, m) holding P(M_b = 1 | row). Returns an
-    (n_rows, 2^m) array whose column j is the probability of the mechanism
-    configuration with bit pattern j (mechanism 0 in bit 0).
+    ``mech_p1`` has shape (..., n_rows, m) holding P(M_b = 1 | row); leading
+    axes, such as the GA's population axis, broadcast. Returns a
+    (..., n_rows, 2^m) array whose column j is the probability of the
+    mechanism configuration with bit pattern j (mechanism 0 in bit 0).
     """
-    n_rows, m = mech_p1.shape
-    out = np.ones((n_rows, 1 << m))
+    m = mech_p1.shape[-1]
+    out = np.ones((*mech_p1.shape[:-1], 1 << m))
     for b in range(m):
         bit = (np.arange(1 << m) >> b) & 1
-        col = mech_p1[:, b][:, None]
-        out *= np.where(bit[None, :] == 1, col, 1.0 - col)
+        col = mech_p1[..., b, None]
+        out *= np.where(bit == 1, col, 1.0 - col)
     return out
 
 
@@ -389,26 +388,14 @@ def ici_evaluate(child: Variable, parents: Sequence[Variable], spec: IciSpec) ->
     """Forward-evaluate an ICI model into a full-shape CPT.
 
     p(y | x) = sum over mechanism configurations m with f(m) = y of
-    prod_i P(m_i | x_i).
+    prod_i P(m_i | x_i). ICI is US-SICI with every parent in a block of its
+    own, and is evaluated as such.
     """
-    _require_binary(child)
     parents = tuple(parents)
     if len(spec.mech_cpts) != len(parents):
         raise ShapeMismatchError("need one mechanism table per parent")
-    for v, p in zip(spec.mech_cpts, parents):
-        if len(v) != p.cardinality:
-            raise ShapeMismatchError(f"mechanism table for {p.name} has wrong length")
-    if any(not 0 <= y < child.cardinality for y in spec.combiner):
-        raise ValidationError("combiner assigns an unknown child state")
-    cards = tuple(p.cardinality for p in parents)
-    states = config_table(cards)
-    mech_p1 = np.stack(
-        [np.asarray(v)[states[:, i]] for i, v in enumerate(spec.mech_cpts)], axis=1
-    )
-    joint = _mech_config_products(mech_p1)
-    comb = np.asarray(spec.combiner)
-    rows = np.stack([joint[:, comb == y].sum(axis=1) for y in range(child.cardinality)], axis=1)
-    return Cpt(child, parents, rows)
+    singletons = tuple((i,) for i in range(len(parents)))
+    return us_sici_evaluate(child, parents, SiciSpec(singletons, spec.mech_cpts, spec.combiner))
 
 
 def noisy_or(inhibition: Sequence[float]) -> IciSpec:
@@ -513,6 +500,21 @@ def _block_config_index(
     return idx
 
 
+def _mech_param_index(
+    cards: Sequence[int], partition: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Where each row reads its mechanism probabilities in the flat parameter vector.
+
+    The vector holds the blocks' mechanism tables back to back in block
+    order. Returns an (n_rows, m) index into it and the block table sizes.
+    """
+    states = config_table(cards)
+    sizes = tuple(math.prod(cards[i] for i in block) for block in partition)
+    offsets = np.cumsum((0, *sizes[:-1]))
+    idx = np.stack([_block_config_index(states, block, cards) for block in partition], axis=1)
+    return idx + offsets, sizes
+
+
 def _sici_mech_p1(
     spec: SiciSpec, parents: Sequence[Variable]
 ) -> np.ndarray:
@@ -520,16 +522,13 @@ def _sici_mech_p1(
     flat = [i for b in spec.parent_partition for i in b]
     if sorted(flat) != list(range(len(parents))):
         raise ShapeMismatchError("parent partition must cover exactly the parents")
-    states = config_table(cards)
-    cols = []
-    for block, table in zip(spec.parent_partition, spec.mech_cpts):
-        size = math.prod(cards[i] for i in block)
+    idx, sizes = _mech_param_index(cards, spec.parent_partition)
+    for block, table, size in zip(spec.parent_partition, spec.mech_cpts, sizes):
         if len(table) != size:
             raise ShapeMismatchError(
                 f"mechanism table for block {block} has {len(table)} entries, want {size}"
             )
-        cols.append(np.asarray(table)[_block_config_index(states, block, cards)])
-    return np.stack(cols, axis=1)
+    return np.concatenate(spec.mech_cpts)[idx]
 
 
 def us_sici_evaluate(child: Variable, parents: Sequence[Variable], spec: SiciSpec) -> Cpt:

@@ -97,6 +97,14 @@ def _run(capsys, argv):
     return code, out.out, out.err
 
 
+def _anxiety_with(edit) -> str:
+    """The Anxiety document as JSON text after ``edit``, which changes it in place
+    or returns a replacement."""
+    doc = json.loads(fixture_path("anxiety").read_text())
+    out = edit(doc)
+    return json.dumps(doc if out is None else out)
+
+
 class TestScoreCommand:
     @pytest.mark.parametrize(
         "column, expected",
@@ -145,9 +153,21 @@ class TestScoreCommand:
         assert code == 3
         assert "mismatch" in err
 
-    def test_validation_failure_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            _anxiety_with(lambda doc: doc["rows"][0].update(probs=[float("nan"), 0.037])),
+            _anxiety_with(lambda doc: [doc]),
+            _anxiety_with(lambda doc: {**doc, "rows": ["not an object", *doc["rows"][1:]]}),
+            _anxiety_with(lambda doc: doc["rows"][0].update(probs=["x", "y"])),
+        ],
+        ids=["empty-object", "nan-probability", "list-document", "non-object-row",
+             "string-probabilities"],
+    )
+    def test_validation_failure_exits_2(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
+        bad.write_text(text)
         code, _, err = _run(capsys, ["score", str(bad), str(bad)])
         assert code == 2
         assert "error" in err

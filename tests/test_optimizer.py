@@ -16,6 +16,7 @@ from cpt_refine import (
     Variable,
     enumerate_bipartitions,
     enumerate_set_partitions,
+    evaluate_spec,
     ga_optimize,
     ici_evaluate,
     noisy_or,
@@ -27,6 +28,7 @@ from cpt_refine import (
     scm_fit,
     us_sici_evaluate,
 )
+from cpt_refine import optimizer
 from cpt_refine.errors import SearchSpaceError, ValidationError
 
 from conftest import random_cpt
@@ -184,7 +186,7 @@ class TestGaOptimize:
     def test_converges_on_separable_objective(self):
         # minimum 0 at all genes 0.5; must get within 1e-3 inside 200 generations
         shape = GenomeShape(combiner_configs=1, reals=6)
-        fitness = lambda g: float(np.abs(g.real_part - 0.5).sum())
+        fitness = lambda pop: np.abs(pop - 0.5).sum(axis=1)
         config = GaConfig(max_generations=200, stall_limit=200, seed=5, restarts=1)
         result = ga_optimize(fitness, shape, config)
         assert result.best_score <= 1e-3
@@ -192,13 +194,13 @@ class TestGaOptimize:
 
     def test_sphere_reaches_boundary_optimum(self):
         shape = GenomeShape(combiner_configs=1, reals=9)
-        fitness = lambda g: float((g.real_part**2).sum())
+        fitness = lambda pop: (pop**2).sum(axis=1)
         result = ga_optimize(fitness, shape, GaConfig(seed=11))
         assert result.best_score <= 1e-3
 
     def test_same_seed_is_bitwise_identical(self):
         shape = GenomeShape(combiner_configs=4, reals=5)
-        fitness = lambda g: float((g.real_part**2).sum()) + 0.1 * sum(g.integer_part)
+        fitness = lambda pop: (pop[:, 3:] ** 2).sum(axis=1) + 0.1 * (pop[:, :3] >= 0.5).sum(axis=1)
         config = GaConfig(population=60, max_generations=40, stall_limit=40, seed=123, restarts=2)
         a = ga_optimize(fitness, shape, config)
         b = ga_optimize(fitness, shape, config)
@@ -213,7 +215,7 @@ class TestGaOptimize:
 
     def test_best_so_far_is_monotone(self):
         shape = GenomeShape(combiner_configs=1, reals=4)
-        fitness = lambda g: float(np.abs(g.real_part - 0.25).sum())
+        fitness = lambda pop: np.abs(pop - 0.25).sum(axis=1)
         history = []
         config = GaConfig(population=40, max_generations=60, stall_limit=60, seed=2, restarts=1)
         ga_optimize(fitness, shape, config, on_progress=lambda evals, best: history.append(best))
@@ -317,6 +319,15 @@ class TestOptimizeSici:
         assert via_ici.best_spec.combiner == via_sici.best_spec.combiner
         assert via_ici.best_spec.mech_cpts == via_sici.best_spec.mech_cpts
 
+    def test_reported_score_equals_rescoring(self, anxiety):
+        # the GA's own einsum readout differs from re-scoring in the last bits
+        config = GaConfig(population=40, max_generations=30, restarts=1, seed=0)
+        for result in (
+            optimize_ici(anxiety, config),
+            optimize_sici_partition(anxiety, ((0,), (1, 2, 3)), config),
+        ):
+            assert result.best_score == evaluate_spec(anxiety, result.best_spec).score
+
     def test_recovers_realizable_us_sici(self):
         parents = _bin_parents(3)
         partition = ((0, 2), (1,))
@@ -351,10 +362,41 @@ class TestOptimizeSici:
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(14)
-        truth = random_cpt(rng, (2, 2))
+        truth = random_cpt(rng, (2, 2, 2))
+        config = GaConfig(population=30, max_generations=15, stall_limit=15, seed=6, restarts=1)
+        serial_done, pooled_done = [], []
+        monkeypatch.delenv("CPT_REFINE_THREADS", raising=False)
+        serial = optimize_sici(truth, config, lambda done, total, best: serial_done.append(done))
+        monkeypatch.setenv("CPT_REFINE_THREADS", "2")
+        pooled = optimize_sici(truth, config, lambda done, total, best: pooled_done.append(done))
+        assert [r.best_score for r in serial.results] == [r.best_score for r in pooled.results]
+        expected = list(range(1, len(serial.results) + 1))
+        assert serial_done == expected
+        assert pooled_done == expected
+
+    def test_broken_pool_finishes_serially_reporting_each_partition_once(self, monkeypatch):
+        class PoolThatBreaks:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                yield fn(jobs[0])
+                raise OSError("worker lost")
+
+        rng = np.random.default_rng(15)
+        truth = random_cpt(rng, (2, 2, 2))
         config = GaConfig(population=30, max_generations=15, stall_limit=15, seed=6, restarts=1)
         monkeypatch.delenv("CPT_REFINE_THREADS", raising=False)
         serial = optimize_sici(truth, config)
+        monkeypatch.setattr(optimizer, "ProcessPoolExecutor", PoolThatBreaks)
         monkeypatch.setenv("CPT_REFINE_THREADS", "2")
-        pooled = optimize_sici(truth, config)
-        assert [r.best_score for r in serial.results] == [r.best_score for r in pooled.results]
+        done = []
+        fallback = optimize_sici(truth, config, lambda d, total, best: done.append(d))
+        assert [r.best_score for r in fallback.results] == [r.best_score for r in serial.results]
+        assert done == list(range(1, len(serial.results) + 1))
