@@ -37,10 +37,10 @@ from .optimizer import (
     enumerate_set_partitions,
     ga_optimize,
     optimize_ici,
-    optimize_scm_ga,
     optimize_sici,
     optimize_sici_partition,
     scm_bruteforce,
+    scm_exact,
 )
 from .refine import (
     ApproxResult,

@@ -43,7 +43,7 @@ from .optimizer import (
     optimize_ici,
     optimize_sici,
     optimize_sici_partition,
-    scm_bruteforce,
+    scm_exact,
 )
 from .refine import (
     ApproxResult,
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scm", help="exact simple-canonical-model search")
     p.add_argument("truth")
     p.add_argument("--out", help="write the expanded approximate CPT here")
-    p.add_argument("--quiet", action="store_true", help="no progress output")
+    p.add_argument("--quiet", action="store_true", help="no effect; the search prints nothing")
     p.set_defaults(func=cmd_scm)
 
     p = sub.add_parser("ici", help="GA search of the ICI model")
@@ -167,13 +167,6 @@ def _ga_config(args) -> GaConfig:
         seed=args.seed,
         restarts=args.restarts,
     )
-
-
-def _progress(label: str):
-    def cb(done, best):
-        print(f"{label}: {done} evaluated, best {best:.4f}", file=sys.stderr)
-
-    return cb
 
 
 def spec_summary(truth: Cpt, spec: RefinementSpec) -> str:
@@ -295,8 +288,7 @@ def cmd_divorce(args) -> int:
 
 def cmd_scm(args) -> int:
     truth = load_cpt(args.truth)
-    on_progress = None if args.quiet else _progress("scm")
-    search = scm_bruteforce(truth, on_progress=on_progress)
+    search = scm_exact(truth)
     result = evaluate_spec(truth, search.best_spec)
     _emit_result(truth, search.best_spec, result, args.out)
     return 0
@@ -349,8 +341,8 @@ def cmd_reproduce(args) -> int:
     prune_spec, prune_result = prune_best(truth)
     say("divorcing: exhaustive over pairs, gates and binarizations")
     div_spec, div_result = divorce_best(truth)
-    say("scm: brute force over all row bipartitions")
-    scm_search = scm_bruteforce(truth, on_progress=None)
+    say("scm: exact search over sorted contiguous row splits")
+    scm_search = scm_exact(truth)
     scm_result = evaluate_spec(truth, scm_search.best_spec)
     say("ici: genetic algorithm")
     ici_search = optimize_ici(truth, config)

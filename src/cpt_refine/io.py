@@ -60,17 +60,20 @@ def load_cpt(path: str | Path) -> Cpt:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer literal too long to parse
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: the document must be a JSON object")
     if doc.get("format") != SCHEMA_FORMAT:
         raise ValidationError(f"{path}: unsupported format {doc.get('format')!r}")
     child = _parse_variable(doc.get("child", {}), "child")
-    parents = tuple(_parse_variable(p, "parent") for p in doc.get("parents", ()))
+    parents_doc = doc.get("parents", [])
+    rows_doc = doc.get("rows", [])
+    if not isinstance(parents_doc, list) or not isinstance(rows_doc, list):
+        raise ValidationError(f"{path}: 'parents' and 'rows' must be JSON lists")
+    parents = tuple(_parse_variable(p, "parent") for p in parents_doc)
     cards = tuple(v.cardinality for v in parents)
     expected = config_table(cards)
-    rows_doc = doc.get("rows", [])
     if len(rows_doc) != expected.shape[0]:
         raise ValidationError(
             f"{path}: {len(rows_doc)} rows, need {expected.shape[0]} (one per configuration)"
@@ -106,7 +109,10 @@ def load_cpt(path: str | Path) -> Cpt:
             )
         if not all(isinstance(p, (int, float)) for p in probs):
             raise ValidationError(f"{path}: row {k + 1} ({want}) probabilities must be numbers")
-        vec = np.asarray(probs, dtype=np.float64)
+        try:
+            vec = np.asarray(probs, dtype=np.float64)
+        except OverflowError as exc:
+            raise ValidationError(f"{path}: row {k + 1} ({want}) probabilities: {exc}") from exc
         dev = abs(float(vec.sum()) - 1.0)
         if dev > LOAD_TOLERANCE:
             raise ValidationError(

@@ -2,14 +2,16 @@
 
 Three layers:
 
-* exact enumeration - non-trivial bipartitions (for the simple canonical
-  model, whose space of deterministic combination functions is exactly the
-  set of row bipartitions) and set partitions of the parent set (for SICI
-  structures), the latter via restricted growth strings.
+* exact enumeration - non-trivial bipartitions and set partitions of the
+  parent set (for SICI structures), the latter via restricted growth
+  strings.
 
-* a brute-force SCM search that scans every non-trivial bipartition with a
-  vectorised median/absolute-deviation kernel, so the exact global optimum
-  is found deterministically.
+* the exact simple-canonical-model search. Its space of deterministic
+  combination functions is the set of row bipartitions, and its fit is a
+  two-block median fit of the P(Y=0) column, so the optimum is a contiguous
+  split of that column in sorted order: ``scm_exact`` scores the n - 1 splits.
+  ``scm_bruteforce`` scans every bipartition with a vectorised
+  median/absolute-deviation kernel and serves as its oracle.
 
 * a seeded genetic algorithm over a mixed encoding: combiner genes in
   [0, 1) decode to child-state labels per mechanism configuration, the
@@ -196,21 +198,53 @@ def enumerate_set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 # Exact SCM search
 # ---------------------------------------------------------------------------
 
+
+def scm_exact(truth: Cpt) -> SearchResult:
+    """Exact SCM optimum from the n - 1 contiguous splits of the sorted P(Y=0) column.
+
+    The SCM fit is a two-block median fit of that column, and optimal 1-D
+    k-median clusters are contiguous in sorted order (Gronlund et al.,
+    arXiv 1701.07204), so some sorted split is optimal over every bipartition
+    :func:`scm_bruteforce` scans. A sorted segment's absolute deviation from
+    its median is the sum of its upper half minus the sum of its lower half,
+    so prefix sums score all splits at once in O(n log n). Ties break towards
+    the smallest lower block; the block holding row 0 is labelled 0.
+    """
+    if truth.child.cardinality != 2:
+        raise ValidationError("the SCM objective requires a binary child")
+    n = truth.n_rows
+    if n < 2:
+        raise ValidationError(f"the SCM needs at least 2 rows to split, got {n}")
+    order = np.argsort(truth.rows[:, 0], kind="stable")
+    prefix = np.concatenate(([0.0], np.cumsum(truth.rows[order, 0])))
+    k = np.arange(1, n)  # size of the lower block
+    lo_half, hi_half = k // 2, (n - k) // 2
+    lower = (prefix[k] - prefix[k - lo_half]) - prefix[lo_half]
+    upper = (prefix[n] - prefix[n - hi_half]) - (prefix[k + hi_half] - prefix[k])
+    split = int(np.argmin(lower + upper)) + 1
+    assignment = np.zeros(n, dtype=np.int64)
+    assignment[order[split:]] = 1
+    spec = ScmSpec((assignment ^ assignment[0]).tolist())
+    # report the score from the exact refit so it matches re-scoring bitwise
+    return SearchResult(spec, scm_fit(truth, spec).score, n - 1, 0, 0)
+
+
 _SCM_CHUNK = 1 << 18
 
 
 def scm_bruteforce(truth: Cpt, on_progress: ProgressFn | None = None) -> SearchResult:
     """Exact optimum over every non-trivial row bipartition of a binary-child CPT.
 
-    Scans all 2^(rows-1) - 1 bipartitions with a vectorised kernel: for a
-    sorted value list, the absolute deviation of a block from its median is
-    the sum of the block's upper half minus its lower half, which turns the
-    per-block fit into one signed dot product. Ties break towards the
-    smallest partition index, so results are independent of chunking.
+    The reference oracle for :func:`scm_exact`. Scans all 2^(rows-1) - 1
+    bipartitions with a vectorised kernel: for a sorted value list, the
+    absolute deviation of a block from its median is the sum of the block's
+    upper half minus its lower half, which turns the per-block fit into one
+    signed dot product. Ties break towards the smallest partition index, so
+    results are independent of chunking.
     """
     n = truth.n_rows
     if n > 30:
-        raise SearchSpaceError(f"{n} rows means 2^{n - 1} bipartitions; use the GA instead")
+        raise SearchSpaceError(f"{n} rows means 2^{n - 1} bipartitions; use scm_exact instead")
     if truth.child.cardinality != 2:
         raise ValidationError("brute-force SCM search requires a binary child")
     v = truth.rows[:, 0]
@@ -247,47 +281,6 @@ def _lad_scores(member: np.ndarray, v_sorted: np.ndarray) -> np.ndarray:
     ranks = member.cumsum(axis=1)
     sgn = np.sign(2 * ranks - (k + 1)[:, None]) * member
     return sgn.astype(np.float64) @ v_sorted
-
-
-def optimize_scm_ga(
-    truth: Cpt, config: GaConfig, on_progress: ProgressFn | None = None
-) -> SearchResult:
-    """GA over row bipartitions: the fallback for CPTs too large to enumerate.
-
-    One gene per row beyond the first (row 0 is pinned to block A, halving
-    the space exactly as the enumeration does); genes >= 0.5 put a row in
-    block B, and an empty block B is penalised away. At enumerable sizes
-    this serves as a cross-check of :func:`scm_bruteforce`.
-    """
-    if truth.child.cardinality != 2:
-        raise ValidationError("the SCM objective requires a binary child")
-    n = truth.n_rows
-    v = truth.rows[:, 0]
-    order = np.argsort(v, kind="stable")
-    v_sorted = v[order]
-    shape = GenomeShape(combiner_configs=n, reals=0)
-
-    def batch(pop: np.ndarray) -> np.ndarray:
-        bits = np.concatenate(
-            [np.zeros((pop.shape[0], 1), dtype=bool), pop >= 0.5], axis=1
-        )
-        member = bits[:, order].astype(np.int32)
-        empty_b = member.sum(axis=1) == 0
-        return (
-            _lad_scores(member, v_sorted)
-            + _lad_scores(1 - member, v_sorted)
-            + np.where(empty_b, 1e9, 0.0)
-        )
-
-    result = ga_optimize(batch, shape, config, on_progress=on_progress)
-    spec = ScmSpec(result.best_spec.integer_part)
-    return SearchResult(
-        spec,
-        scm_fit(truth, spec).score,
-        result.evaluations,
-        result.seed_used,
-        result.generations_run,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +429,8 @@ def optimize_sici_partition(
     if truth.child.cardinality != 2:
         raise ValidationError("the SICI objective requires a binary child")
     part = canonical_partition(partition)
+    if not part:
+        raise ValidationError("the SICI objective needs at least one parent")
     batch, shape, block_sizes = _partition_batch_fitness(truth, part)
     result = ga_optimize(batch, shape, config, on_progress=on_progress)
     genome = result.best_spec

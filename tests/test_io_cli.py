@@ -1,9 +1,12 @@
 """Documents, reports, and the command-line interface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cpt_refine import load_cpt, save_cpt, score_sum_tvd
 from cpt_refine.cli import main
@@ -105,6 +108,26 @@ def _anxiety_with(edit) -> str:
     return json.dumps(doc if out is None else out)
 
 
+def _field_paths(node, prefix=()):
+    """The key path of every field in a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield (*prefix, key)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, (*prefix, key))
+
+
+_FIELD_PATHS = list(_field_paths(json.loads(fixture_path("anxiety").read_text())))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6)
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8,
+)
+
+
 class TestScoreCommand:
     @pytest.mark.parametrize(
         "column, expected",
@@ -161,9 +184,14 @@ class TestScoreCommand:
             _anxiety_with(lambda doc: [doc]),
             _anxiety_with(lambda doc: {**doc, "rows": ["not an object", *doc["rows"][1:]]}),
             _anxiety_with(lambda doc: doc["rows"][0].update(probs=["x", "y"])),
+            _anxiety_with(lambda doc: doc.update(parents=5)),
+            _anxiety_with(lambda doc: doc.update(rows=5)),
+            _anxiety_with(lambda doc: doc["rows"][0].update(probs=[10**400, 0.037])),
+            '{"format": 1' + "0" * 5000 + "}",
         ],
         ids=["empty-object", "nan-probability", "list-document", "non-object-row",
-             "string-probabilities"],
+             "string-probabilities", "non-list-parents", "non-list-rows",
+             "huge-integer-probability", "huge-integer-literal"],
     )
     def test_validation_failure_exits_2(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -171,6 +199,22 @@ class TestScoreCommand:
         code, _, err = _run(capsys, ["score", str(bad), str(bad)])
         assert code == 2
         assert "error" in err
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_malformed_documents_exit_0_or_2(self, tmp_path, data):
+        doc = json.loads(fixture_path("anxiety").read_text())
+        *path, key = data.draw(st.sampled_from(_FIELD_PATHS), label="field")
+        target = doc
+        for step in path:
+            target = target[step]
+        target[key] = data.draw(_JSON_VALUES, label="value")
+        bad = tmp_path / "fuzzed.json"
+        bad.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # renormalisation warnings are not failures
+            assert main(["score", str(bad), str(bad)]) in (0, 2)
 
 
 class TestMethodCommands:
@@ -243,13 +287,28 @@ class TestMethodCommands:
         assert "free parameters: 2" in out
         load_cpt(out_path)  # emitted document passes validation
 
-    def test_scm_guard_exits_4(self, capsys, tmp_path):
+    def test_scm_beyond_the_bruteforce_guard(self, capsys, tmp_path):
         rng = np.random.default_rng(42)
         truth_path = tmp_path / "wide.json"
         save_cpt(random_cpt(rng, (31,)), truth_path)
-        code, _, err = _run(capsys, ["scm", str(truth_path), "--quiet"])
-        assert code == 4
-        assert "bipartitions" in err
+        out_path = tmp_path / "scm.json"
+        code, out, _ = _run(capsys, ["scm", str(truth_path), "--quiet", "--out", str(out_path)])
+        assert code == 0
+        assert "free parameters: 2" in out
+        assert load_cpt(out_path).n_rows == 31
+
+    @pytest.mark.parametrize("command", ["ici", "scm", "sici", "prune", "reproduce"])
+    def test_root_node_is_rejected(self, capsys, tmp_path, command):
+        truth_path = tmp_path / "root.json"
+        truth_path.write_text(json.dumps({
+            "format": 1,
+            "child": {"name": "Y", "states": ["n", "y"]},
+            "parents": [],
+            "rows": [{"config": [], "probs": [0.3, 0.7]}],
+        }))
+        code, _, err = _run(capsys, [command, str(truth_path), "--out", str(tmp_path / "out")])
+        assert code in (2, 4)
+        assert "error" in err
 
     def test_ici_command(self, capsys, tmp_path):
         rng = np.random.default_rng(43)

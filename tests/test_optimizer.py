@@ -1,6 +1,7 @@
 """Search machinery: enumerations, brute force, genetic algorithm."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from cpt_refine import (
     ici_evaluate,
     noisy_or,
     optimize_ici,
-    optimize_scm_ga,
     optimize_sici,
     optimize_sici_partition,
     scm_bruteforce,
+    scm_exact,
     scm_fit,
     us_sici_evaluate,
 )
@@ -34,6 +35,7 @@ from cpt_refine.errors import SearchSpaceError, ValidationError
 from conftest import random_cpt
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
+BIN = Variable("Y", ("n", "y"))
 
 
 class TestEnumerateBipartitions:
@@ -153,33 +155,59 @@ class TestScmBruteforce:
             scm_bruteforce(truth)
 
 
-class TestScmGaFallback:
-    def test_cross_checks_brute_force_at_enumerable_size(self):
-        rng = np.random.default_rng(71)
-        truth = random_cpt(rng, (8,))
-        exact = scm_bruteforce(truth).best_score
-        via_ga = optimize_scm_ga(truth, GaConfig(population=80, restarts=3, seed=5))
-        assert via_ga.best_score == pytest.approx(exact, abs=1e-12)
+def _one_parent_truth(p_no: np.ndarray) -> Cpt:
+    parent = Variable("X", tuple(f"s{i}" for i in range(len(p_no))))
+    return Cpt(BIN, (parent,), np.column_stack([p_no, 1.0 - p_no]))
 
-    def test_finds_reference_optimum_on_benchmark(self, anxiety):
-        result = optimize_scm_ga(anxiety, GaConfig(seed=7))
-        assert result.best_score == pytest.approx(1.2693, abs=2e-3)
-        sizes = sorted(
-            (result.best_spec.assignment.count(0), result.best_spec.assignment.count(1))
-        )
-        assert sizes == [8, 16]
 
-    def test_handles_sizes_beyond_the_enumeration_guard(self):
-        rng = np.random.default_rng(72)
-        truth = random_cpt(rng, (34,))
-        with pytest.raises(SearchSpaceError):
-            scm_bruteforce(truth)
-        config = GaConfig(population=100, max_generations=200, restarts=2, seed=1)
-        result = optimize_scm_ga(truth, config)
-        assert 0 < sum(result.best_spec.assignment) < truth.n_rows
-        assert result.best_score < scm_fit(
-            truth, ScmSpec((0,) * 17 + (1,) * 17)
-        ).score + 1e-12
+class TestScmExact:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=14),
+        repeated=st.booleans(),
+    )
+    def test_matches_bruteforce_oracle(self, seed, n, repeated):
+        p_no = np.random.default_rng(seed).random(n)
+        if repeated:
+            p_no = np.round(p_no, 1)  # repeated values, so optima can tie
+        truth = _one_parent_truth(p_no)
+        exact = scm_exact(truth)
+        oracle = scm_bruteforce(truth)
+        assert exact.best_score == pytest.approx(oracle.best_score, abs=1e-12)
+        if not repeated:
+            assert exact.best_spec == oracle.best_spec
+        assert exact.evaluations == n - 1
+        assert exact.best_score == scm_fit(truth, exact.best_spec).score
+        assert exact.best_spec.assignment[0] == 0
+
+    def test_reference_optimum_on_benchmark(self, anxiety):
+        result = scm_exact(anxiety)
+        assert f"{result.best_score:.4f}" == "1.2693"
+        assignment = result.best_spec.assignment
+        assert (assignment.count(0), assignment.count(1)) == (16, 8)
+
+    def test_sizes_beyond_the_bruteforce_guard(self):
+        rng = np.random.default_rng(99)
+        truth = random_cpt(rng, (8, 25))
+        t0 = time.perf_counter()
+        result = scm_exact(truth)
+        assert time.perf_counter() - t0 < 1.0
+        assert result.evaluations == 199
+        for _ in range(1000):
+            assignment = rng.integers(0, 2, size=truth.n_rows)
+            if assignment.min() == assignment.max():
+                continue
+            assert result.best_score <= scm_fit(truth, ScmSpec(tuple(assignment))).score + 1e-12
+
+    def test_binary_child_required(self):
+        truth = random_cpt(np.random.default_rng(3), (2, 2), child_card=3)
+        with pytest.raises(ValidationError):
+            scm_exact(truth)
+
+    def test_single_row_rejected(self):
+        with pytest.raises(ValidationError, match="at least 2 rows"):
+            scm_exact(Cpt(BIN, (), np.array([[0.3, 0.7]])))
 
 
 class TestGaOptimize:
@@ -271,9 +299,6 @@ def _ici_two_parent_oracle(truth: Cpt, steps: int = 801) -> float:
             total += g_best
         best = min(best, float(total.min()))
     return best
-
-
-BIN = Variable("Y", ("n", "y"))
 
 
 def _bin_parents(n):
