@@ -11,10 +11,11 @@ Subcommands::
     sici       truth.json [--partition "A | B,C"] [--seed ...] [--out ...]
     fixtures   [--dest DIR]
 
-Exit codes: 0 success, 2 validation failure, 3 shape mismatch, 4 search
-space guard exceeded. The CPT_REFINE_THREADS environment variable caps the
-worker count of the SICI partition sweep; it never changes the results, and
-the sweep's progress lines print with any worker count.
+Exit codes: 0 success, 2 validation failure or a file that cannot be read or
+written, 3 shape mismatch, 4 search space guard exceeded. The
+CPT_REFINE_THREADS environment variable caps the worker count of the SICI
+partition sweep; it never changes the results, and the sweep's progress
+lines print with any worker count.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     except SearchSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -289,16 +290,14 @@ def cmd_divorce(args) -> int:
 def cmd_scm(args) -> int:
     truth = load_cpt(args.truth)
     search = scm_exact(truth)
-    result = evaluate_spec(truth, search.best_spec)
-    _emit_result(truth, search.best_spec, result, args.out)
+    _emit_result(truth, search.best_spec, search.fit, args.out)
     return 0
 
 
 def cmd_ici(args) -> int:
     truth = load_cpt(args.truth)
     search = optimize_ici(truth, _ga_config(args))
-    result = evaluate_spec(truth, search.best_spec)
-    _emit_result(truth, search.best_spec, result, args.out)
+    _emit_result(truth, search.best_spec, search.fit, args.out)
     return 0
 
 
@@ -326,8 +325,7 @@ def cmd_sici(args) -> int:
             ),
         )
         search = sweep.best
-    result = evaluate_spec(truth, search.best_spec)
-    _emit_result(truth, search.best_spec, result, args.out)
+    _emit_result(truth, search.best_spec, search.fit, args.out)
     return 0
 
 
@@ -343,20 +341,17 @@ def cmd_reproduce(args) -> int:
     div_spec, div_result = divorce_best(truth)
     say("scm: exact search over sorted contiguous row splits")
     scm_search = scm_exact(truth)
-    scm_result = evaluate_spec(truth, scm_search.best_spec)
     say("ici: genetic algorithm")
     ici_search = optimize_ici(truth, config)
-    ici_result = evaluate_spec(truth, ici_search.best_spec)
     say("sici: genetic algorithm per parent partition")
-    sici_sweep = optimize_sici(truth, replace(config, seed=config.seed + config.restarts))
-    sici_result = evaluate_spec(truth, sici_sweep.best.best_spec)
+    sici_search = optimize_sici(truth, replace(config, seed=config.seed + config.restarts)).best
 
     named: list[tuple[str, RefinementSpec, ApproxResult]] = [
         ("pruning", prune_spec, prune_result),
         ("divorcing", div_spec, div_result),
-        ("scm", scm_search.best_spec, scm_result),
-        ("ici", ici_search.best_spec, ici_result),
-        ("sici", sici_sweep.best.best_spec, sici_result),
+        ("scm", scm_search.best_spec, scm_search.fit),
+        ("ici", ici_search.best_spec, ici_search.fit),
+        ("sici", sici_search.best_spec, sici_search.fit),
     ]
     full = param_count(truth.parent_cards, truth.child.cardinality)
     rows = [

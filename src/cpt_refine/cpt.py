@@ -8,15 +8,16 @@ ordering.
 Besides the data model this module provides the numeric primitives used by
 the structural refinement methods: total variation distance, an optional
 KL divergence, the median as the one-dimensional least-absolute-deviation
-minimiser, and fitting/expanding of row groupings (a grouping forces sets
-of CPT rows to share one child distribution).
+minimiser, and fitting/expanding of row groupings. A grouping forces sets
+of CPT rows to share one child distribution; it is an integer label per
+row, and rows with equal labels share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,6 +103,10 @@ class Cpt:
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "rows", arr)
 
+    def __reduce__(self):
+        # rebuild through __init__, so a copy sent to or from a worker process stays read-only
+        return (Cpt, (self.child, self.parents, self.rows))
+
     @property
     def parent_cards(self) -> tuple[int, ...]:
         return tuple(v.cardinality for v in self.parents)
@@ -117,22 +122,12 @@ class Cpt:
         )
 
 
-@dataclass(frozen=True)
-class Grouping:
-    """A partition of CPT row indices plus one shared distribution per group."""
+class Grouping(NamedTuple):
+    """Row ``labels`` (group of each CPT row, 0 .. n_groups - 1) and one shared
+    distribution per group (``params``, shape (n_groups, child_card))."""
 
-    groups: tuple[tuple[int, ...], ...]
-    params: np.ndarray  # (n_groups, child_card)
-
-    def __init__(self, groups: Iterable[Iterable[int]], params: np.ndarray) -> None:
-        groups = tuple(tuple(int(j) for j in g) for g in groups)
-        params = np.asarray(params, dtype=np.float64)
-        if params.ndim != 2 or params.shape[0] != len(groups):
-            raise ValidationError("need one parameter vector per group")
-        if np.any(np.abs(params.sum(axis=1) - 1.0) > 1e-9):
-            raise ValidationError("group parameter vectors must sum to 1")
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "params", params)
+    labels: np.ndarray
+    params: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,49 +297,37 @@ def median_lad(values: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_partition(groups: Sequence[Sequence[int]], n_rows: int) -> None:
-    """Validate that ``groups`` is a partition of range(n_rows)."""
-    seen: set[int] = set()
-    for g in groups:
-        if len(g) == 0:
-            raise ValidationError("empty group in partition")
-        for j in g:
-            if not 0 <= j < n_rows:
-                raise ValidationError(f"row index {j} out of range")
-            if j in seen:
-                raise ValidationError(f"row {j} covered twice")
-            seen.add(j)
-    if len(seen) != n_rows:
-        missing = sorted(set(range(n_rows)) - seen)
-        raise ValidationError(f"rows not covered by partition: {missing[:8]}")
+def fit_grouping(truth: Cpt, labels: np.ndarray | Sequence[int]) -> Grouping:
+    """Optimal shared distributions for a row grouping under sum-TVD loss.
 
-
-def fit_grouping(truth: Cpt, groups: Sequence[Sequence[int]]) -> Grouping:
-    """Optimal shared distributions for a row partition under sum-TVD loss.
-
-    Per group and per child state the median of the truth's probabilities
-    across member rows is taken. For a binary child the two medians sum to 1
-    and are exactly LAD-optimal. For wider children per-state medians need
-    not sum to 1 and are renormalised; that renormalised vector is a
-    heuristic rather than the exact optimum.
+    ``labels`` gives each row's group as any integer; rows with equal labels
+    form one group. Per group and per child state the median of the truth's
+    probabilities across member rows is taken, for every group at once: each
+    column is sorted within groups and the median read at each group's middle
+    offsets. For a binary child the two medians sum to 1 and are exactly
+    LAD-optimal. For wider children per-state medians need not sum to 1 and
+    are renormalised; that renormalised vector is a heuristic rather than the
+    exact optimum.
     """
-    check_partition(groups, truth.n_rows)
-    params = np.empty((len(groups), truth.child.cardinality))
-    for k, g in enumerate(groups):
-        member = truth.rows[list(g)]
-        params[k] = np.median(member, axis=0)
-        s = params[k].sum()
-        if s <= 0:
-            raise ValidationError(f"group {k} has all-zero medians")
-        if abs(s - 1.0) > _RENORM_EPS:
-            params[k] /= s
-    return Grouping(tuple(tuple(g) for g in groups), params)
+    labels = np.asarray(labels)
+    if labels.shape != (truth.n_rows,) or not np.issubdtype(labels.dtype, np.integer):
+        raise ValidationError(
+            f"need one integer group label per row ({truth.n_rows}), "
+            f"got {labels.dtype} of shape {labels.shape}"
+        )
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    rows = truth.rows
+    order = np.lexsort((rows, np.broadcast_to(inverse[:, None], rows.shape)), axis=0)
+    ranked = np.take_along_axis(rows, order, axis=0)
+    start = np.cumsum(counts) - counts
+    params = (ranked[start + (counts - 1) // 2] + ranked[start + counts // 2]) / 2
+    sums = params.sum(axis=1, keepdims=True)
+    if np.any(sums <= 0):
+        raise ValidationError(f"group {int(np.argmin(sums))} has all-zero medians")
+    params = np.where(np.abs(sums - 1.0) > _RENORM_EPS, params / sums, params)
+    return Grouping(inverse, params)
 
 
 def expand_grouped(template: Cpt, grouping: Grouping) -> Cpt:
     """Full-shape CPT in which every row carries its group's shared distribution."""
-    check_partition(grouping.groups, template.n_rows)
-    rows = np.empty_like(template.rows)
-    for k, g in enumerate(grouping.groups):
-        rows[list(g)] = grouping.params[k]
-    return Cpt(template.child, template.parents, rows)
+    return Cpt(template.child, template.parents, grouping.params[grouping.labels])

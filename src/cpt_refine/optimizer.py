@@ -46,6 +46,7 @@ import numpy as np
 from .cpt import Cpt
 from .errors import SearchSpaceError, ValidationError
 from .refine import (
+    ApproxResult,
     IciSpec,
     ScmSpec,
     SiciSpec,
@@ -95,11 +96,11 @@ class GenomeShape:
     """Gene layout: (combiner_configs - 1) combiner genes then ``reals`` genes.
 
     Mechanism configuration 0 is pinned to child state 0 and carries no gene.
+    The child is binary: a combiner gene of at least 0.5 maps to state 1.
     """
 
     combiner_configs: int
     reals: int
-    child_card: int = 2
 
     @property
     def n_genes(self) -> int:
@@ -108,9 +109,7 @@ class GenomeShape:
     def decode(self, vector: np.ndarray) -> "Genome":
         vector = np.asarray(vector, dtype=np.float64)
         n_comb = self.combiner_configs - 1
-        labels = np.minimum(
-            (vector[:n_comb] * self.child_card).astype(int), self.child_card - 1
-        )
+        labels = (vector[:n_comb] >= 0.5).astype(int)
         return Genome((0, *labels.tolist()), vector[n_comb:].copy())
 
 
@@ -124,11 +123,15 @@ class Genome:
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
+    """A search's best spec and score; ``fit`` is that spec's fitted approximation
+    (None for the raw genome ``ga_optimize`` returns)."""
+
     best_spec: object
     best_score: float
     evaluations: int
     seed_used: int
     generations_run: int
+    fit: ApproxResult | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +229,8 @@ def scm_exact(truth: Cpt) -> SearchResult:
     assignment[order[split:]] = 1
     spec = ScmSpec((assignment ^ assignment[0]).tolist())
     # report the score from the exact refit so it matches re-scoring bitwise
-    return SearchResult(spec, scm_fit(truth, spec).score, n - 1, 0, 0)
+    fit = scm_fit(truth, spec)
+    return SearchResult(spec, fit.score, n - 1, 0, 0, fit)
 
 
 _SCM_CHUNK = 1 << 18
@@ -271,8 +275,8 @@ def scm_bruteforce(truth: Cpt, on_progress: ProgressFn | None = None) -> SearchR
     assignment = tuple((best_mask >> r) & 1 for r in range(n))
     spec = ScmSpec(assignment)
     # report the score from the exact refit so it matches re-scoring bitwise
-    score = scm_fit(truth, spec).score
-    return SearchResult(spec, score, total, 0, 0)
+    fit = scm_fit(truth, spec)
+    return SearchResult(spec, fit.score, total, 0, 0, fit)
 
 
 def _lad_scores(member: np.ndarray, v_sorted: np.ndarray) -> np.ndarray:
@@ -411,7 +415,7 @@ def _partition_batch_fitness(
         p_yes = np.einsum("prj,pj->pr", joint, to_yes)
         return np.abs(p_yes - t_yes[None, :]).sum(axis=1)
 
-    shape = GenomeShape(n_mconf, sum(block_sizes), truth.child.cardinality)
+    shape = GenomeShape(n_mconf, sum(block_sizes))
     return batch, shape, block_sizes
 
 
@@ -423,8 +427,8 @@ def optimize_sici_partition(
 ) -> SearchResult:
     """GA search of one US-SICI structure: combiner and mechanism tables jointly.
 
-    The reported score is the best spec's re-scored fit, so it equals what
-    :func:`evaluate_spec` gives for that spec bitwise.
+    The result carries the best spec's re-scored fit, so its score equals
+    what :func:`evaluate_spec` gives for that spec bitwise.
     """
     if truth.child.cardinality != 2:
         raise ValidationError("the SICI objective requires a binary child")
@@ -436,7 +440,8 @@ def optimize_sici_partition(
     genome = result.best_spec
     mech = np.split(genome.real_part, np.cumsum(block_sizes)[:-1])
     spec = SiciSpec(part, mech, combiner=genome.integer_part)
-    return replace(result, best_spec=spec, best_score=evaluate_spec(truth, spec).score)
+    fit = evaluate_spec(truth, spec)
+    return replace(result, best_spec=spec, best_score=fit.score, fit=fit)
 
 
 def optimize_ici(

@@ -1,7 +1,8 @@
 """The five structural refinement methods for CPT approximation.
 
 Three of the methods act by forcing groups of CPT rows to share one child
-distribution, which the core module can then fit optimally with medians:
+distribution, which the core module can then fit optimally with medians.
+Each grouping is an integer label per row (rows with equal labels share):
 
 * pruning      - drop one parent; rows agreeing on the remaining parents group.
 * divorcing    - route a subset of parents through a deterministic logic gate;
@@ -34,7 +35,6 @@ import numpy as np
 
 from .cpt import (
     Cpt,
-    Grouping,
     Variable,
     config_table,
     expand_grouped,
@@ -202,8 +202,8 @@ def canonical_partition(blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...
 # ---------------------------------------------------------------------------
 
 
-def prune_groups(parent_cards: Sequence[int], spec: PruneSpec) -> tuple[tuple[int, ...], ...]:
-    """Row groups induced by pruning one parent.
+def prune_groups(parent_cards: Sequence[int], spec: PruneSpec) -> np.ndarray:
+    """Row group labels induced by pruning one parent.
 
     Rows sharing a partial configuration over the remaining parents fall in
     one group, so there are prod(cards)/cards[p] groups of size cards[p].
@@ -211,58 +211,37 @@ def prune_groups(parent_cards: Sequence[int], spec: PruneSpec) -> tuple[tuple[in
     cards = tuple(int(c) for c in parent_cards)
     if not 0 <= spec.parent < len(cards):
         raise ValidationError(f"parent index {spec.parent} out of range")
-    states = config_table(cards)
     keep = [i for i in range(len(cards)) if i != spec.parent]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    order: list[tuple[int, ...]] = []
-    for k in range(states.shape[0]):
-        key = tuple(states[k, keep])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(k)
-    return tuple(tuple(groups[key]) for key in order)
+    return _block_config_index(config_table(cards), keep, cards)
 
 
-def gate_output(gate: str, bits: Sequence[int]) -> int:
-    if gate == "AND":
-        return int(all(bits))
-    if gate == "OR":
-        return int(any(bits))
-    if gate == "XOR":
-        return sum(bits) % 2
-    raise ValidationError(f"unknown gate {gate!r}")
-
-
-def divorce_groups(parent_cards: Sequence[int], spec: DivorceSpec) -> tuple[tuple[int, ...], ...]:
-    """Row groups induced by divorcing a parent subset through a logic gate.
+def divorce_groups(parent_cards: Sequence[int], spec: DivorceSpec) -> np.ndarray:
+    """Row group labels induced by divorcing a parent subset through a logic gate.
 
     Rows sharing the gate output on the binarized divorced parents and the
-    partial configuration over the remaining parents share a group.
+    partial configuration over the remaining parents share a group; the
+    label is the gate output plus twice the remaining parents' index.
     """
     cards = tuple(int(c) for c in parent_cards)
-    ones: dict[int, frozenset[int]] = {}
     for i, b in zip(spec.divorced, spec.binarization):
         if not 0 <= i < len(cards):
             raise ValidationError(f"parent index {i} out of range")
-        sub = frozenset(b)
-        if not sub or len(sub) >= cards[i] or any(not 0 <= s < cards[i] for s in sub):
+        if not b or len(set(b)) >= cards[i] or any(not 0 <= s < cards[i] for s in b):
             raise ValidationError(
                 f"binarization for parent {i} must be a proper nonempty subset of its states"
             )
-        ones[i] = sub
-    remaining = [i for i in range(len(cards)) if i not in ones]
     states = config_table(cards)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    order: list[tuple[int, ...]] = []
-    for k in range(states.shape[0]):
-        bits = [1 if states[k, i] in ones[i] else 0 for i in spec.divorced]
-        key = (gate_output(spec.gate, bits),) + tuple(states[k, remaining])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(k)
-    return tuple(tuple(groups[key]) for key in order)
+    bits = np.stack(
+        [np.isin(states[:, i], b) for i, b in zip(spec.divorced, spec.binarization)], axis=1
+    )
+    if spec.gate == "AND":
+        gate = bits.all(axis=1)
+    elif spec.gate == "OR":
+        gate = bits.any(axis=1)
+    else:
+        gate = bits.sum(axis=1) % 2
+    remaining = [i for i in range(len(cards)) if i not in spec.divorced]
+    return gate + 2 * _block_config_index(states, remaining, cards)
 
 
 def default_binarization(
@@ -297,10 +276,9 @@ def _proper_subsets(card: int):
 # ---------------------------------------------------------------------------
 
 
-def _fit_and_score(truth: Cpt, groups: Sequence[Sequence[int]]) -> tuple[Grouping, Cpt, float]:
-    grouping = fit_grouping(truth, groups)
-    approx = expand_grouped(truth, grouping)
-    return grouping, approx, score_sum_tvd(truth, approx)
+def _fit_and_score(truth: Cpt, labels: np.ndarray) -> tuple[Cpt, float]:
+    approx = expand_grouped(truth, fit_grouping(truth, labels))
+    return approx, score_sum_tvd(truth, approx)
 
 
 def prune_best(truth: Cpt) -> tuple[PruneSpec, ApproxResult]:
@@ -310,7 +288,7 @@ def prune_best(truth: Cpt) -> tuple[PruneSpec, ApproxResult]:
     best: tuple[PruneSpec, ApproxResult] | None = None
     for p in range(len(truth.parents)):
         spec = PruneSpec(p)
-        _, approx, score = _fit_and_score(truth, prune_groups(truth.parent_cards, spec))
+        approx, score = _fit_and_score(truth, prune_groups(truth.parent_cards, spec))
         if best is None or score < best[1].score:
             free, _ = param_savings(spec, truth.parent_cards, truth.child.cardinality)
             best = (spec, ApproxResult(approx, score, free))
@@ -335,7 +313,7 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
         for gate in GATES:
             for binar in itertools.product(*(_proper_subsets(cards[i]) for i in subset)):
                 spec = DivorceSpec(subset, gate, binar)
-                _, approx, score = _fit_and_score(truth, divorce_groups(cards, spec))
+                approx, score = _fit_and_score(truth, divorce_groups(cards, spec))
                 if best is None or score < best[1].score:
                     free, _ = param_savings(spec, cards, truth.child.cardinality)
                     best = (spec, ApproxResult(approx, score, free))
@@ -348,11 +326,7 @@ def scm_fit(truth: Cpt, spec: ScmSpec) -> ApproxResult:
         raise ShapeMismatchError(
             f"assignment covers {len(spec.assignment)} rows, CPT has {truth.n_rows}"
         )
-    blocks = (
-        tuple(k for k, a in enumerate(spec.assignment) if a == 0),
-        tuple(k for k, a in enumerate(spec.assignment) if a == 1),
-    )
-    _, approx, score = _fit_and_score(truth, blocks)
+    approx, score = _fit_and_score(truth, np.asarray(spec.assignment))
     free, _ = param_savings(spec, truth.parent_cards, truth.child.cardinality)
     return ApproxResult(approx, score, free)
 
@@ -608,9 +582,9 @@ def evaluate_spec(truth: Cpt, spec: RefinementSpec) -> ApproxResult:
     """
     cards = truth.parent_cards
     if isinstance(spec, PruneSpec):
-        _, approx, score = _fit_and_score(truth, prune_groups(cards, spec))
+        approx, score = _fit_and_score(truth, prune_groups(cards, spec))
     elif isinstance(spec, DivorceSpec):
-        _, approx, score = _fit_and_score(truth, divorce_groups(cards, spec))
+        approx, score = _fit_and_score(truth, divorce_groups(cards, spec))
     elif isinstance(spec, ScmSpec):
         return scm_fit(truth, spec)
     elif isinstance(spec, IciSpec):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpt_refine import (
@@ -229,37 +229,39 @@ class TestMedianLad:
 
 class TestGroupings:
     def test_pruning_grouping_reproduces_reference_column(self, anxiety, method_columns):
-        groups = prune_groups(anxiety.parent_cards, PruneSpec(0))
-        grouping = fit_grouping(anxiety, groups)
+        labels = prune_groups(anxiety.parent_cards, PruneSpec(0))
+        grouping = fit_grouping(anxiety, labels)
         assert grouping.params.shape == (12, 2)
         expanded = expand_grouped(anxiety, grouping)
         assert np.abs(expanded.rows - method_columns["pruning"].rows).max() <= 5e-5 + 1e-12
 
     def test_singleton_groups_reproduce_truth(self, anxiety):
-        groups = tuple((k,) for k in range(anxiety.n_rows))
-        expanded = expand_grouped(anxiety, fit_grouping(anxiety, groups))
+        labels = np.arange(anxiety.n_rows)
+        expanded = expand_grouped(anxiety, fit_grouping(anxiety, labels))
         assert np.array_equal(expanded.rows, anxiety.rows)
         assert score_sum_tvd(anxiety, expanded) == 0.0
 
     def test_reference_scm_split_medians(self, anxiety):
         block1 = (6, 7, 15, 18, 20, 21, 22, 23)  # rows 7,8,16,19,21,22,23,24
-        block0 = tuple(k for k in range(24) if k not in block1)
-        grouping = fit_grouping(anxiety, (block0, block1))
+        labels = np.isin(np.arange(24), block1).astype(int)
+        grouping = fit_grouping(anxiety, labels)
         assert grouping.params[0][0] == pytest.approx(0.9393, abs=1e-9)
         assert grouping.params[1][0] == pytest.approx(0.7500, abs=1e-9)
 
     def test_constant_cpt_from_single_group(self, anxiety):
-        groups = (tuple(range(anxiety.n_rows)),)
-        expanded = expand_grouped(anxiety, fit_grouping(anxiety, groups))
+        labels = np.zeros(anxiety.n_rows, dtype=int)
+        expanded = expand_grouped(anxiety, fit_grouping(anxiety, labels))
         assert np.all(expanded.rows == expanded.rows[0])
 
-    def test_uncovered_row_rejected(self, anxiety):
+    @pytest.mark.parametrize(
+        "labels",
+        [np.zeros(23, dtype=int), np.zeros(25, dtype=int), np.zeros((24, 1), dtype=int),
+         np.zeros(24), np.zeros(24, dtype=bool), ["a"] * 24],
+        ids=["short", "long", "two-dimensional", "float", "bool", "string"],
+    )
+    def test_malformed_labels_rejected(self, anxiety, labels):
         with pytest.raises(ValidationError):
-            fit_grouping(anxiety, (tuple(range(23)),))
-
-    def test_doubly_covered_row_rejected(self, anxiety):
-        with pytest.raises(ValidationError):
-            fit_grouping(anxiety, (tuple(range(24)), (0,)))
+            fit_grouping(anxiety, labels)
 
     @settings(max_examples=50)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -268,17 +270,41 @@ class TestGroupings:
         rng = np.random.default_rng(seed)
         truth = random_cpt(rng, (2, 2, 2))
         labels = rng.integers(0, 3, size=truth.n_rows)
-        groups = tuple(
-            tuple(np.flatnonzero(labels == g)) for g in range(3) if np.any(labels == g)
-        )
-        grouping = fit_grouping(truth, groups)
+        grouping = fit_grouping(truth, labels)
         expanded = expand_grouped(truth, grouping)
         direct = sum(
-            abs(truth.rows[j, 1] - grouping.params[k][1])
-            for k, g in enumerate(grouping.groups)
-            for j in g
+            abs(truth.rows[j, 1] - grouping.params[grouping.labels[j]][1])
+            for j in range(truth.n_rows)
         )
         assert score_sum_tvd(truth, expanded) == pytest.approx(direct, abs=1e-12)
+
+    @settings(max_examples=200)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8).filter(
+            lambda sizes: sum(sizes) >= 2
+        ),
+        child_card=st.sampled_from([2, 3]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(sizes=[1, 2, 3, 4], child_card=2, seed=0)
+    @example(sizes=[1, 2, 3, 4], child_card=3, seed=0)
+    def test_matches_per_group_median_loop(self, sizes, child_card, seed):
+        # bitwise oracle: one np.median per group, renormalised as the fit documents
+        rng = np.random.default_rng(seed)
+        n_rows = sum(sizes)
+        truth = random_cpt(rng, (n_rows,), child_card=child_card)
+        names = rng.choice(np.arange(-50, 50), size=len(sizes), replace=False)
+        labels = rng.permutation(np.repeat(names, sizes))
+        grouping = fit_grouping(truth, labels)
+        oracle = []
+        for name in sorted(names):
+            median = np.median(truth.rows[labels == name], axis=0)
+            total = median.sum()
+            oracle.append(median / total if abs(total - 1.0) > 1e-12 else median)
+        assert np.array_equal(grouping.params, np.array(oracle))
+        assert np.array_equal(np.sort(names)[grouping.labels], labels)
+        expanded = expand_grouped(truth, grouping)
+        assert np.array_equal(expanded.rows, np.array(oracle)[grouping.labels])
 
 
 class TestCptValidation:

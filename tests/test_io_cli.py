@@ -200,6 +200,19 @@ class TestScoreCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["score", "{tmp}/nope.json", "{tmp}/nope.json"],
+            ["prune", str(fixture_path("anxiety")), "--out", "{tmp}/missing/x.json"],
+        ],
+        ids=["missing-input", "missing-output-directory"],
+    )
+    def test_missing_file_exits_2(self, capsys, tmp_path, argv):
+        code, _, err = _run(capsys, [a.format(tmp=tmp_path) for a in argv])
+        assert code == 2
+        assert err.startswith("error:") and "No such file or directory" in err
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())

@@ -256,6 +256,12 @@ class TestGaOptimize:
         assert len(genome.integer_part) == 8
         assert genome.real_part.shape == (2,)
 
+    def test_decoded_combiner_uses_the_fitness_threshold(self):
+        # the batch fitness maps a combiner gene v to state 1 exactly when v >= 0.5
+        shape = GenomeShape(combiner_configs=6, reals=0)
+        genome = shape.decode(np.array([0.0, np.nextafter(0.5, 0.0), 0.5, 0.75, 1.0]))
+        assert genome.integer_part == (0, 0, 0, 1, 1, 1)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValidationError):
             GaConfig(population=1)
@@ -350,8 +356,14 @@ class TestOptimizeSici:
         for result in (
             optimize_ici(anxiety, config),
             optimize_sici_partition(anxiety, ((0,), (1, 2, 3)), config),
+            scm_exact(anxiety),
         ):
-            assert result.best_score == evaluate_spec(anxiety, result.best_spec).score
+            rescored = evaluate_spec(anxiety, result.best_spec)
+            assert result.best_score == rescored.score
+            # the search hands its fit on, so callers need not fit the spec again
+            assert result.fit.score == rescored.score
+            assert result.fit.free_params == rescored.free_params
+            assert np.array_equal(result.fit.cpt.rows, rescored.cpt.rows)
 
     def test_recovers_realizable_us_sici(self):
         parents = _bin_parents(3)
@@ -395,6 +407,10 @@ class TestOptimizeSici:
         monkeypatch.setenv("CPT_REFINE_THREADS", "2")
         pooled = optimize_sici(truth, config, lambda done, total, best: pooled_done.append(done))
         assert [r.best_score for r in serial.results] == [r.best_score for r in pooled.results]
+        for s, p in zip(serial.results, pooled.results):
+            # each partition's fit crosses the process boundary as an unchanged, read-only CPT
+            assert np.array_equal(s.fit.cpt.rows, p.fit.cpt.rows)
+            assert not p.fit.cpt.rows.flags.writeable
         expected = list(range(1, len(serial.results) + 1))
         assert serial_done == expected
         assert pooled_done == expected

@@ -48,24 +48,66 @@ def binary_parents(n):
     return tuple(Variable(f"X{i}", ("off", "on")) for i in range(n))
 
 
+def _group_sizes(labels):
+    return np.unique(labels, return_counts=True)[1]
+
+
+def _partition(labels):
+    """The row partition a label vector induces, as a set of row sets."""
+    return {frozenset(np.flatnonzero(labels == g).tolist()) for g in np.unique(labels)}
+
+
+def _loop_groups(cards, key):
+    """Rows grouped by ``key(state row)`` with a plain loop over the rows."""
+    groups = {}
+    for k, states in enumerate(config_table(cards)):
+        groups.setdefault(key(states), set()).add(k)
+    return {frozenset(g) for g in groups.values()}
+
+
+def _gate(gate, bits):
+    if gate == "AND":
+        return int(all(bits))
+    if gate == "OR":
+        return int(any(bits))
+    return sum(bits) % 2
+
+
+def _divorce_key(subset, gate, ones):
+    def key(states):
+        bits = [int(states[i] in o) for i, o in zip(subset, ones)]
+        rest = tuple(states[j] for j in range(len(states)) if j not in subset)
+        return (_gate(gate, bits),) + rest
+
+    return key
+
+
 class TestPruneGroups:
     def test_anxiety_prune_first_parent(self, anxiety):
-        groups = prune_groups(anxiety.parent_cards, PruneSpec(0))
-        assert len(groups) == 12
-        assert all(len(g) == 2 for g in groups)
+        sizes = _group_sizes(prune_groups(anxiety.parent_cards, PruneSpec(0)))
+        assert len(sizes) == 12
+        assert all(sizes == 2)
 
     def test_anxiety_prune_sleep_duration(self, anxiety):
-        groups = prune_groups(anxiety.parent_cards, PruneSpec(3))
-        assert len(groups) == 8
-        assert all(len(g) == 3 for g in groups)
+        sizes = _group_sizes(prune_groups(anxiety.parent_cards, PruneSpec(3)))
+        assert len(sizes) == 8
+        assert all(sizes == 3)
 
     def test_single_parent_degenerates_to_one_group(self):
-        groups = prune_groups((3,), PruneSpec(0))
-        assert groups == ((0, 1, 2),)
+        labels = prune_groups((3,), PruneSpec(0))
+        assert labels.tolist() == [0, 0, 0]
 
     def test_invalid_parent_index(self, anxiety):
         with pytest.raises(ValidationError):
             prune_groups(anxiety.parent_cards, PruneSpec(4))
+
+    @given(cards=st.lists(st.integers(min_value=2, max_value=3), min_size=1, max_size=4),
+           data=st.data())
+    def test_matches_loop_construction(self, cards, data):
+        p = data.draw(st.integers(min_value=0, max_value=len(cards) - 1))
+        labels = prune_groups(cards, PruneSpec(p))
+        oracle = _loop_groups(cards, lambda states: tuple(np.delete(states, p)))
+        assert _partition(labels) == oracle
 
 
 class TestPruneBest:
@@ -111,21 +153,22 @@ class TestPruneBest:
 class TestDivorceGroups:
     def test_reference_divorce_grouping(self, anxiety):
         spec = DivorceSpec((1, 3), "AND", ((1,), (2,)))
-        groups = divorce_groups(anxiety.parent_cards, spec)
+        labels = divorce_groups(anxiety.parent_cards, spec)
+        groups, sizes = np.unique(labels, return_counts=True)
         assert len(groups) == 8
-        singletons = sorted(g[0] for g in groups if len(g) == 1)
+        singletons = sorted(np.flatnonzero(np.isin(labels, groups[sizes == 1])).tolist())
         assert singletons == [18, 19, 22, 23]  # rows 19, 20, 23, 24
 
     def test_or_gate_over_all_parents(self):
         spec = DivorceSpec((0, 1, 2), "OR", ((1,), (1,), (1,)))
-        groups = divorce_groups((2, 2, 2), spec)
-        assert len(groups) == 2
-        assert sorted(len(g) for g in groups) == [1, 7]
+        sizes = _group_sizes(divorce_groups((2, 2, 2), spec))
+        assert len(sizes) == 2
+        assert sorted(sizes) == [1, 7]
 
     def test_xor_group_count(self):
         spec = DivorceSpec((0, 1), "XOR", ((1,), (1,)))
-        groups = divorce_groups((2, 2, 3), spec)
-        assert len(groups) == 2 * 3
+        sizes = _group_sizes(divorce_groups((2, 2, 3), spec))
+        assert len(sizes) == 2 * 3
 
     def test_rejects_full_subset_binarization(self):
         spec = DivorceSpec((0, 1), "AND", ((0, 1), (1,)))
@@ -135,6 +178,19 @@ class TestDivorceGroups:
     def test_rejects_single_divorced_parent(self):
         with pytest.raises(ValidationError):
             DivorceSpec((0,), "AND", ((1,),))
+
+    @given(cards=st.lists(st.integers(min_value=2, max_value=4), min_size=2, max_size=4),
+           gate=st.sampled_from(("AND", "OR", "XOR")), data=st.data())
+    def test_matches_loop_construction(self, cards, gate, data):
+        subset = data.draw(st.lists(st.integers(min_value=0, max_value=len(cards) - 1),
+                                    min_size=2, max_size=len(cards), unique=True))
+        ones = [
+            data.draw(st.sets(st.integers(min_value=0, max_value=cards[i] - 1),
+                              min_size=1, max_size=cards[i] - 1))
+            for i in subset
+        ]
+        labels = divorce_groups(cards, DivorceSpec(subset, gate, ones))
+        assert _partition(labels) == _loop_groups(cards, _divorce_key(subset, gate, ones))
 
 
 def _divorce_oracle(truth):
@@ -149,20 +205,8 @@ def _divorce_oracle(truth):
                 for i in subset
             ]
             for ones in itertools.product(*choices):
-                groups = {}
-                states = config_table(cards)
-                for k in range(truth.n_rows):
-                    bits = [int(states[k, i] in o) for i, o in zip(subset, ones)]
-                    if gate == "AND":
-                        g = int(all(bits))
-                    elif gate == "OR":
-                        g = int(any(bits))
-                    else:
-                        g = sum(bits) % 2
-                    key = (g,) + tuple(states[k, j] for j in range(n) if j not in subset)
-                    groups.setdefault(key, []).append(k)
                 score = 0.0
-                for rows in groups.values():
+                for rows in _loop_groups(cards, _divorce_key(subset, gate, ones)):
                     med = statistics.median(truth.rows[r, 1] for r in rows)
                     score += sum(abs(truth.rows[r, 1] - med) for r in rows)
                 best = min(best, score)
@@ -182,13 +226,10 @@ class TestDivorceBest:
         rng = np.random.default_rng(11)
         shell = random_cpt(rng, (2, 2, 2, 2))
         spec = DivorceSpec((0, 2), "OR", ((1,), (0,)))
-        groups = divorce_groups(shell.parent_cards, spec)
-        params = rng.random((len(groups), 1))
+        _, labels = np.unique(divorce_groups(shell.parent_cards, spec), return_inverse=True)
+        params = rng.random((labels.max() + 1, 1))
         params = np.hstack([params, 1 - params])
-        rows = np.empty_like(shell.rows)
-        for k, g in enumerate(groups):
-            rows[list(g)] = params[k]
-        truth = Cpt(shell.child, shell.parents, rows)
+        truth = Cpt(shell.child, shell.parents, params[labels])
         _, result = divorce_best(truth)
         assert result.score <= 1e-12
 
