@@ -3,8 +3,8 @@
 
 Runs all five refinement methods with the default GA configuration and
 writes the comparison report plus per-method approximate CPT documents
-under results/. Roughly three minutes of compute; rerunning with the same
-seed rewrites identical files.
+under results/. About 95 s of compute on a 2-vCPU VM; rerunning with the
+same seed rewrites identical files.
 """
 
 import sys

@@ -12,10 +12,9 @@ Subcommands::
     fixtures   [--dest DIR]
 
 Exit codes: 0 success, 2 validation failure or a file that cannot be read or
-written, 3 shape mismatch, 4 search space guard exceeded. The
-CPT_REFINE_THREADS environment variable caps the worker count of the SICI
-partition sweep; it never changes the results, and the sweep's progress
-lines print with any worker count.
+written, 3 shape mismatch, 4 search space guard exceeded. The SICI
+partition sweep runs its partitions one after another in this process and
+prints a progress line after each one.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ class Cpt:
         object.__setattr__(self, "rows", arr)
 
     def __reduce__(self):
-        # rebuild through __init__, so a copy sent to or from a worker process stays read-only
+        # rebuild through __init__: unpickled arrays are writeable, a pickled Cpt stays read-only
         return (Cpt, (self.child, self.parents, self.rows))
 
     @property

@@ -72,6 +72,9 @@ def load_cpt(path: str | Path) -> Cpt:
     if not isinstance(parents_doc, list) or not isinstance(rows_doc, list):
         raise ValidationError(f"{path}: 'parents' and 'rows' must be JSON lists")
     parents = tuple(_parse_variable(p, "parent") for p in parents_doc)
+    names = [child.name, *(v.name for v in parents)]
+    if len(set(names)) != len(names):
+        raise ValidationError(f"{path}: child and parent names must be distinct, got {names}")
     cards = tuple(v.cardinality for v in parents)
     expected = config_table(cards)
     if len(rows_doc) != expected.shape[0]:

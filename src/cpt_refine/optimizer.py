@@ -16,16 +16,18 @@ Three layers:
 * a seeded genetic algorithm over a mixed encoding: combiner genes in
   [0, 1) decode to child-state labels per mechanism configuration, the
   remaining genes are the mechanism probabilities themselves. Selection is
-  binary tournament, crossover uniform, mutation per-gene: probability
-  genes get a Gaussian step whose scale is drawn log-uniformly between
-  1e-4 and 0.1 (the heavy tail of small steps is what lets runs polish
-  optima to the 1e-3 level; a fixed 0.1 scale stalls around 1e-2),
-  combiner genes resample uniformly. Identical seed and config give
-  bitwise-identical results. ``ga_optimize`` takes one batch fitness that
-  scores a whole (population, genes) matrix per call. For ICI and SICI it
-  is the forward pass of the spec evaluators in ``refine`` run over the
-  population at once; ICI is searched and evaluated as US-SICI with
-  singleton parent blocks.
+  binary tournament, crossover uniform (rate 0.8), elitism 5%, mutation
+  per-gene (rate 0.3): probability genes get a Gaussian step whose scale is
+  drawn log-uniformly between 1e-4 and 0.1 (the heavy tail of small steps
+  is what lets runs polish optima to the 1e-3 level; a fixed 0.1 scale
+  stalls around 1e-2), combiner genes resample uniformly. Identical seed
+  and config give bitwise-identical results. ``ga_optimize`` takes one
+  batch fitness that scores a whole (population, genes) matrix per call.
+  For ICI and SICI it is the forward pass of the spec evaluators in
+  ``refine`` (the same mechanism-product kernel) run over the population at
+  once; ICI is searched and evaluated as US-SICI with singleton parent
+  blocks. The SICI sweep runs its partitions one after another in one
+  process.
 
 The mechanism configuration (0, ..., 0) is pinned to child state 0: any
 non-trivial deterministic combiner can be brought to that form by flipping
@@ -36,8 +38,6 @@ any representable model.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -50,6 +50,8 @@ from .refine import (
     IciSpec,
     ScmSpec,
     SiciSpec,
+    _binary_state_tables,
+    _check_covers,
     _mech_config_products,
     _mech_param_index,
     canonical_partition,
@@ -62,6 +64,9 @@ ProgressFn = Callable[[int, float], None]
 # per-mutation Gaussian scale is 10**uniform(log10 range): mostly small
 # polishing steps with occasional large exploratory ones
 _MUTATION_SCALE_LOG10 = (-4.0, -1.0)
+_MUTATION_PROB = 0.3
+_ELITISM_FRAC = 0.05
+_CROSSOVER_PROB = 0.8
 
 
 @dataclass(frozen=True)
@@ -70,9 +75,6 @@ class GaConfig:
 
     population: int = 300
     max_generations: int = 2000
-    mutation_prob: float = 0.3
-    elitism_frac: float = 0.05
-    crossover_prob: float = 0.8
     stall_limit: int = 50
     seed: int = 0
     restarts: int = 10
@@ -80,15 +82,14 @@ class GaConfig:
     def __post_init__(self) -> None:
         if self.population < 2:
             raise ValidationError("population must be >= 2")
-        for name in ("mutation_prob", "elitism_frac", "crossover_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1]")
         if self.stall_limit < 1:
             raise ValidationError("stall_limit must be >= 1")
         if self.max_generations < 1:
             raise ValidationError("max_generations must be >= 1")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -140,15 +141,6 @@ class SiciSweep:
 
     results: tuple[SearchResult, ...]
     best: SearchResult
-
-
-def worker_count() -> int:
-    """Worker cap from CPT_REFINE_THREADS (default 1). Never affects results."""
-    try:
-        n = int(os.environ.get("CPT_REFINE_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +336,7 @@ def _ga_single_run(
     best_score = float(scores[i])
     best_vec = pop[i].copy()
 
-    n_elite = min(pop_size, math.ceil(config.elitism_frac * pop_size))
+    n_elite = min(pop_size, math.ceil(_ELITISM_FRAC * pop_size))
     n_off = pop_size - n_elite
     stall = 0
     gen = 0
@@ -359,11 +351,11 @@ def _ga_single_run(
             parents.append(np.where(scores[c0] <= scores[c1], c0, c1))
         pa, pb = pop[parents[0]], pop[parents[1]]
 
-        do_cross = rng.random(n_off) < config.crossover_prob
+        do_cross = rng.random(n_off) < _CROSSOVER_PROB
         take_b = rng.random((n_off, n_genes)) < 0.5
         children = np.where(do_cross[:, None] & take_b, pb, pa)
 
-        mutate = rng.random((n_off, n_genes)) < config.mutation_prob
+        mutate = rng.random((n_off, n_genes)) < _MUTATION_PROB
         scale = 10.0 ** rng.uniform(*_MUTATION_SCALE_LOG10, size=(n_off, n_genes))
         perturbed = np.clip(children + scale * rng.normal(size=(n_off, n_genes)), 0.0, 1.0)
         resampled = rng.random((n_off, n_genes))
@@ -408,7 +400,7 @@ def _partition_batch_fitness(
     n_comb = n_mconf - 1
 
     def batch(pop: np.ndarray) -> np.ndarray:
-        joint = _mech_config_products(pop[:, n_comb:][:, gene_idx])  # (pop, rows, 2^m)
+        joint = _mech_config_products(_binary_state_tables(pop[:, n_comb:], gene_idx))
         to_yes = np.concatenate(
             [np.zeros((pop.shape[0], 1)), (pop[:, :n_comb] >= 0.5).astype(np.float64)], axis=1
         )
@@ -435,6 +427,7 @@ def optimize_sici_partition(
     part = canonical_partition(partition)
     if not part:
         raise ValidationError("the SICI objective needs at least one parent")
+    _check_covers(part, len(truth.parents))
     batch, shape, block_sizes = _partition_batch_fitness(truth, part)
     result = ga_optimize(batch, shape, config, on_progress=on_progress)
     genome = result.best_spec
@@ -461,52 +454,31 @@ def optimize_ici(
     return replace(result, best_spec=IciSpec(sici.mech_cpts, sici.combiner))
 
 
-def _run_partition(args) -> SearchResult:
-    truth, partition, config = args
-    return optimize_sici_partition(truth, partition, config)
-
-
 def optimize_sici(
     truth: Cpt, config: GaConfig, on_progress: Callable[[int, int, float], None] | None = None
 ) -> SiciSweep:
     """GA search over every multi-block parent partition; best per partition and overall.
 
     The single-block partition is skipped (it brings no parameter saving).
-    Partition p gets seeds config.seed + p * config.restarts + (0 ..
-    restarts-1), so per-partition results do not depend on scheduling; with
-    CPT_REFINE_THREADS > 1 the partitions run on a process pool.
-    ``on_progress`` receives (partitions done, partitions total, best score).
+    Partitions run one after another; partition p gets seeds config.seed +
+    p * config.restarts + (0 .. restarts-1). ``on_progress`` receives
+    (partitions done, partitions total, best score) after each partition.
     """
     n = len(truth.parents)
+    if n < 2:
+        raise ValidationError(f"the SICI sweep needs at least 2 parents, got {n}")
     if n > 12:
         raise SearchSpaceError(f"partition sweep over {n} parents is not supported")
     partitions = [p for p in enumerate_set_partitions(n) if len(p) > 1]
-    jobs = [
-        (truth, part, replace(config, seed=config.seed + pi * config.restarts))
-        for pi, part in enumerate(partitions)
-    ]
-
     results: list[SearchResult] = []
-
-    def collect(outcomes: Iterator[SearchResult]) -> None:
-        for result in outcomes:
-            results.append(result)
-            if on_progress is not None:
-                on_progress(len(results), len(jobs), min(r.best_score for r in results))
-
-    workers = worker_count()
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                collect(pool.map(_run_partition, jobs))
-        except OSError:
-            # the pool could not start or broke: run the partitions not yet collected here
-            collect(map(_run_partition, jobs[len(results):]))
-    else:
-        collect(map(_run_partition, jobs))
-
-    best = results[0]
-    for r in results[1:]:
-        if r.best_score < best.best_score:
-            best = r
+    best: SearchResult | None = None
+    for pi, part in enumerate(partitions):
+        result = optimize_sici_partition(
+            truth, part, replace(config, seed=config.seed + pi * config.restarts)
+        )
+        results.append(result)
+        if best is None or result.best_score < best.best_score:
+            best = result
+        if on_progress is not None:
+            on_progress(len(results), len(partitions), best.best_score)
     return SiciSweep(tuple(results), best)

@@ -341,21 +341,40 @@ def _require_binary(child: Variable) -> None:
         raise ValidationError("deterministic-combiner models require a binary child")
 
 
-def _mech_config_products(mech_p1: np.ndarray) -> np.ndarray:
-    """Joint mechanism probabilities per row.
+def _mech_config_products(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Joint mechanism-configuration probabilities per row.
 
-    ``mech_p1`` has shape (..., n_rows, m) holding P(M_b = 1 | row); leading
-    axes, such as the GA's population axis, broadcast. Returns a
-    (..., n_rows, 2^m) array whose column j is the probability of the
-    mechanism configuration with bit pattern j (mechanism 0 in bit 0).
+    ``tables[b]`` has shape (..., n_rows, k_b) holding P(M_b = s | row) for
+    each state s; leading axes, such as the GA's population axis, broadcast.
+    Returns a (..., n_rows, prod k_b) array built by successive outer
+    products, configurations indexed mixed-radix with mechanism 0 fastest.
     """
-    m = mech_p1.shape[-1]
-    out = np.ones((*mech_p1.shape[:-1], 1 << m))
-    for b in range(m):
-        bit = (np.arange(1 << m) >> b) & 1
-        col = mech_p1[..., b, None]
-        out *= np.where(bit == 1, col, 1.0 - col)
+    out = tables[0]
+    for p in tables[1:]:
+        joint = p[..., :, None] * out[..., None, :]
+        out = joint.reshape(*joint.shape[:-2], -1)
     return out
+
+
+def _binary_state_tables(p1: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
+    """Per-mechanism (..., n_rows, 2) tables [P(M=0), P(M=1)] read from flat P(M=1) parameters.
+
+    ``p1`` has shape (..., n_params); ``idx`` is the (n_rows, m) index of
+    :func:`_mech_param_index`.
+    """
+    states = np.stack([1.0 - p1, p1], axis=-1)
+    # np.take keeps C order, which fixes the summation order of later row sums
+    return [np.take(states, idx[:, b], axis=-2) for b in range(idx.shape[1])]
+
+
+def _check_lower(lower_cpt, n_configs: int, child_card: int) -> np.ndarray:
+    """A stochastic lower table p(y | mechanism configuration) as a checked array."""
+    lower = np.asarray(lower_cpt, dtype=np.float64)
+    if lower.shape != (n_configs, child_card):
+        raise ShapeMismatchError(f"lower table must have shape ({n_configs}, {child_card})")
+    if np.any(np.abs(lower.sum(axis=1) - 1.0) > 1e-9):
+        raise ValidationError("lower table rows must sum to 1")
+    return lower
 
 
 def ici_evaluate(child: Variable, parents: Sequence[Variable], spec: IciSpec) -> Cpt:
@@ -434,20 +453,11 @@ def pici_evaluate(
     if len(mech_cpts) != len(parents):
         raise ShapeMismatchError("need one mechanism table per parent")
     mats = [_as_mech_matrix(v, p.cardinality) for v, p in zip(mech_cpts, parents)]
-    mech_cards = [m.shape[1] for m in mats]
-    lower = np.asarray(lower_cpt, dtype=np.float64)
-    if lower.shape != (math.prod(mech_cards), child.cardinality):
-        raise ShapeMismatchError(
-            f"lower table must have shape ({math.prod(mech_cards)}, {child.cardinality})"
-        )
-    if np.any(np.abs(lower.sum(axis=1) - 1.0) > 1e-9):
-        raise ValidationError("lower table rows must sum to 1")
-    cards = tuple(p.cardinality for p in parents)
-    states = config_table(cards)
-    mech_states = config_table(mech_cards)
-    joint = np.ones((states.shape[0], mech_states.shape[0]))
-    for i, mat in enumerate(mats):
-        joint *= mat[states[:, i][:, None], mech_states[:, i][None, :]]
+    lower = _check_lower(lower_cpt, math.prod(m.shape[1] for m in mats), child.cardinality)
+    if not mats:  # a root node: the single empty mechanism configuration
+        return Cpt(child, parents, lower)
+    states = config_table(tuple(p.cardinality for p in parents))
+    joint = _mech_config_products([mat[states[:, i]] for i, mat in enumerate(mats)])
     return Cpt(child, parents, joint @ lower)
 
 
@@ -489,20 +499,22 @@ def _mech_param_index(
     return idx + offsets, sizes
 
 
-def _sici_mech_p1(
-    spec: SiciSpec, parents: Sequence[Variable]
-) -> np.ndarray:
-    cards = tuple(p.cardinality for p in parents)
-    flat = [i for b in spec.parent_partition for i in b]
-    if sorted(flat) != list(range(len(parents))):
+def _check_covers(partition: Sequence[Sequence[int]], n_parents: int) -> None:
+    if sorted(i for b in partition for i in b) != list(range(n_parents)):
         raise ShapeMismatchError("parent partition must cover exactly the parents")
+
+
+def _sici_joint(spec: SiciSpec, parents: Sequence[Variable]) -> np.ndarray:
+    """(n_rows, 2^m) mechanism-configuration probabilities of a SICI spec."""
+    cards = tuple(p.cardinality for p in parents)
+    _check_covers(spec.parent_partition, len(parents))
     idx, sizes = _mech_param_index(cards, spec.parent_partition)
     for block, table, size in zip(spec.parent_partition, spec.mech_cpts, sizes):
         if len(table) != size:
             raise ShapeMismatchError(
                 f"mechanism table for block {block} has {len(table)} entries, want {size}"
             )
-    return np.concatenate(spec.mech_cpts)[idx]
+    return _mech_config_products(_binary_state_tables(np.concatenate(spec.mech_cpts), idx))
 
 
 def us_sici_evaluate(child: Variable, parents: Sequence[Variable], spec: SiciSpec) -> Cpt:
@@ -516,7 +528,7 @@ def us_sici_evaluate(child: Variable, parents: Sequence[Variable], spec: SiciSpe
         raise ValidationError("US variant needs a combiner; this spec has a lower table")
     if any(not 0 <= y < child.cardinality for y in spec.combiner):
         raise ValidationError("combiner assigns an unknown child state")
-    joint = _mech_config_products(_sici_mech_p1(spec, parents))
+    joint = _sici_joint(spec, parents)
     comb = np.asarray(spec.combiner)
     rows = np.stack([joint[:, comb == y].sum(axis=1) for y in range(child.cardinality)], axis=1)
     return Cpt(child, tuple(parents), rows)
@@ -530,12 +542,8 @@ def ds_sici_evaluate(child: Variable, parents: Sequence[Variable], spec: SiciSpe
     """
     if spec.lower_cpt is None:
         raise ValidationError("DS variant needs a lower table; this spec has a combiner")
-    lower = np.asarray(spec.lower_cpt, dtype=np.float64)
-    if lower.shape != (1 << len(spec.parent_partition), child.cardinality):
-        raise ShapeMismatchError("lower table shape does not match the mechanism count")
-    if np.any(np.abs(lower.sum(axis=1) - 1.0) > 1e-9):
-        raise ValidationError("lower table rows must sum to 1")
-    joint = _mech_config_products(_sici_mech_p1(spec, parents))
+    lower = _check_lower(spec.lower_cpt, 1 << len(spec.parent_partition), child.cardinality)
+    joint = _sici_joint(spec, parents)
     return Cpt(child, tuple(parents), joint @ lower)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -323,6 +324,13 @@ class TestCptValidation:
     def test_rows_are_read_only(self, anxiety):
         with pytest.raises(ValueError):
             anxiety.rows[0, 0] = 0.0
+
+    def test_pickled_copy_stays_read_only(self, anxiety):
+        # unpickled numpy arrays are writeable; Cpt.__reduce__ rebuilds through the constructor
+        copy = pickle.loads(pickle.dumps(anxiety))
+        assert copy.child == anxiety.child and copy.parents == anxiety.parents
+        assert np.array_equal(copy.rows, anxiety.rows)
+        assert not copy.rows.flags.writeable
 
     def test_variable_needs_two_states(self):
         with pytest.raises(ValidationError):

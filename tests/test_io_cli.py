@@ -188,10 +188,11 @@ class TestScoreCommand:
             _anxiety_with(lambda doc: doc.update(rows=5)),
             _anxiety_with(lambda doc: doc["rows"][0].update(probs=[10**400, 0.037])),
             '{"format": 1' + "0" * 5000 + "}",
+            _anxiety_with(lambda doc: doc["parents"][1].update(name="Depression")),
         ],
         ids=["empty-object", "nan-probability", "list-document", "non-object-row",
              "string-probabilities", "non-list-parents", "non-list-rows",
-             "huge-integer-probability", "huge-integer-literal"],
+             "huge-integer-probability", "huge-integer-literal", "duplicate-parent-names"],
     )
     def test_validation_failure_exits_2(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -322,6 +323,19 @@ class TestMethodCommands:
         code, _, err = _run(capsys, [command, str(truth_path), "--out", str(tmp_path / "out")])
         assert code in (2, 4)
         assert "error" in err
+
+    def test_sici_sweep_needs_two_parents(self, capsys, tmp_path):
+        rng = np.random.default_rng(44)
+        truth_path = tmp_path / "one_parent.json"
+        save_cpt(random_cpt(rng, (3,)), truth_path)
+        code, _, err = _run(capsys, ["sici", str(truth_path), "--restarts", "1"])
+        assert code == 2
+        assert "at least 2 parents" in err
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, _, err = _run(capsys, ["ici", str(fixture_path("anxiety")), "--seed", "-1"])
+        assert code == 2
+        assert "seed" in err
 
     def test_ici_command(self, capsys, tmp_path):
         rng = np.random.default_rng(43)

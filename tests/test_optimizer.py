@@ -30,7 +30,7 @@ from cpt_refine import (
     us_sici_evaluate,
 )
 from cpt_refine import optimizer
-from cpt_refine.errors import SearchSpaceError, ValidationError
+from cpt_refine.errors import SearchSpaceError, ShapeMismatchError, ValidationError
 
 from conftest import random_cpt
 
@@ -266,7 +266,7 @@ class TestGaOptimize:
         with pytest.raises(ValidationError):
             GaConfig(population=1)
         with pytest.raises(ValidationError):
-            GaConfig(mutation_prob=1.5)
+            GaConfig(seed=-1)
         with pytest.raises(ValidationError):
             GaConfig(stall_limit=0)
 
@@ -397,47 +397,24 @@ class TestOptimizeSici:
         b = optimize_sici(truth, config)
         assert [r.best_score for r in a.results] == [r.best_score for r in b.results]
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
+    def test_sweep_reports_each_partition_in_order(self):
         rng = np.random.default_rng(14)
         truth = random_cpt(rng, (2, 2, 2))
         config = GaConfig(population=30, max_generations=15, stall_limit=15, seed=6, restarts=1)
-        serial_done, pooled_done = [], []
-        monkeypatch.delenv("CPT_REFINE_THREADS", raising=False)
-        serial = optimize_sici(truth, config, lambda done, total, best: serial_done.append(done))
-        monkeypatch.setenv("CPT_REFINE_THREADS", "2")
-        pooled = optimize_sici(truth, config, lambda done, total, best: pooled_done.append(done))
-        assert [r.best_score for r in serial.results] == [r.best_score for r in pooled.results]
-        for s, p in zip(serial.results, pooled.results):
-            # each partition's fit crosses the process boundary as an unchanged, read-only CPT
-            assert np.array_equal(s.fit.cpt.rows, p.fit.cpt.rows)
-            assert not p.fit.cpt.rows.flags.writeable
-        expected = list(range(1, len(serial.results) + 1))
-        assert serial_done == expected
-        assert pooled_done == expected
+        calls = []
+        sweep = optimize_sici(truth, config, lambda *args: calls.append(args))
+        scores = [r.best_score for r in sweep.results]
+        n = len(scores)
+        assert n == 4
+        assert calls == [(done, n, min(scores[:done])) for done in range(1, n + 1)]
+        assert sweep.best is sweep.results[scores.index(min(scores))]  # first minimum
 
-    def test_broken_pool_finishes_serially_reporting_each_partition_once(self, monkeypatch):
-        class PoolThatBreaks:
-            def __init__(self, max_workers):
-                pass
+    def test_partial_partition_rejected_before_searching(self, anxiety, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the GA ran on a partition that does not cover the parents")
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                yield fn(jobs[0])
-                raise OSError("worker lost")
-
-        rng = np.random.default_rng(15)
-        truth = random_cpt(rng, (2, 2, 2))
-        config = GaConfig(population=30, max_generations=15, stall_limit=15, seed=6, restarts=1)
-        monkeypatch.delenv("CPT_REFINE_THREADS", raising=False)
-        serial = optimize_sici(truth, config)
-        monkeypatch.setattr(optimizer, "ProcessPoolExecutor", PoolThatBreaks)
-        monkeypatch.setenv("CPT_REFINE_THREADS", "2")
-        done = []
-        fallback = optimize_sici(truth, config, lambda d, total, best: done.append(d))
-        assert [r.best_score for r in fallback.results] == [r.best_score for r in serial.results]
-        assert done == list(range(1, len(serial.results) + 1))
+        monkeypatch.setattr(optimizer, "ga_optimize", no_search)
+        config = GaConfig(population=10, restarts=1)
+        for partition in (((1,),), ((0, 1), (2,))):
+            with pytest.raises(ShapeMismatchError, match="cover exactly the parents"):
+                optimize_sici_partition(anxiety, partition, config)

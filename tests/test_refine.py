@@ -6,7 +6,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpt_refine import (
@@ -37,6 +37,7 @@ from cpt_refine import (
     us_sici_evaluate,
 )
 from cpt_refine.cpt import config_table
+from cpt_refine.refine import _mech_config_products
 from cpt_refine.errors import ValidationError
 
 from conftest import random_cpt
@@ -343,6 +344,27 @@ def _random_ici_spec(rng, cards):
     return IciSpec(mech, combiner)
 
 
+class TestMechConfigProducts:
+    @settings(max_examples=50)
+    @given(
+        cards=st.lists(st.sampled_from((2, 3)), min_size=1, max_size=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(cards=[3, 2, 3], seed=0)
+    @example(cards=[2, 2, 2, 3], seed=1)
+    def test_matches_per_configuration_loop(self, cards, seed):
+        rng = np.random.default_rng(seed)
+        tables = [rng.random((4, 5, k)) for k in cards]  # (population, rows, states)
+        joint = _mech_config_products(tables)
+        assert joint.shape == (4, 5, math.prod(cards))
+        # configurations in mixed radix with mechanism 0 fastest, multiplied in mechanism order
+        for j, config in enumerate(config_table(cards)):
+            expected = np.ones((4, 5))
+            for b, s in enumerate(config):
+                expected = expected * tables[b][..., s]
+            assert np.array_equal(joint[..., j], expected)
+
+
 class TestPici:
     def test_indicator_lower_reduces_to_ici(self):
         rng = np.random.default_rng(5)
@@ -354,6 +376,10 @@ class TestPici:
         via_pici = pici_evaluate(BIN, parents, spec.mech_cpts, lower)
         via_ici = ici_evaluate(BIN, parents, spec)
         assert np.abs(via_pici.rows - via_ici.rows).max() <= 1e-12
+
+    def test_root_node_takes_the_lower_row(self):
+        cpt = pici_evaluate(BIN, (), [], [[0.3, 0.7]])
+        assert cpt.rows.tolist() == [[0.3, 0.7]]
 
     def test_noisy_average_lower_table(self):
         lower = noisy_average_lower(2, 2)
