@@ -7,20 +7,15 @@ and account for the parameter savings.
 """
 
 from .cpt import (
-    CountTable,
     Cpt,
     Grouping,
-    ParentConfig,
     Variable,
-    config_of,
     config_table,
     expand_grouped,
     fit_grouping,
     kl_row,
     median_lad,
-    mle_from_counts,
     param_count,
-    row_index,
     score_sum_kl,
     score_sum_tvd,
     tvd_row,

@@ -48,16 +48,6 @@ class Variable:
         return len(self.states)
 
 
-@dataclass(frozen=True)
-class ParentConfig:
-    """One state index per parent, in parent order."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-
 @dataclass(frozen=True, eq=False)
 class Cpt:
     """A child variable, its ordered parents, and one distribution per row.
@@ -130,33 +120,8 @@ class Grouping(NamedTuple):
     params: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class CountTable:
-    """Raw observation counts: one count per (parent configuration, child state)."""
-
-    child: Variable
-    parents: tuple[Variable, ...]
-    counts: np.ndarray
-
-    def __init__(
-        self, child: Variable, parents: Sequence[Variable], counts: np.ndarray
-    ) -> None:
-        parents = tuple(parents)
-        arr = np.asarray(counts)
-        n_rows = math.prod(v.cardinality for v in parents)
-        if arr.shape != (n_rows, child.cardinality):
-            raise ValidationError(
-                f"counts must have shape ({n_rows}, {child.cardinality}), got {arr.shape}"
-            )
-        if np.any(arr < 0):
-            raise ValidationError("counts must be nonnegative")
-        object.__setattr__(self, "child", child)
-        object.__setattr__(self, "parents", parents)
-        object.__setattr__(self, "counts", arr)
-
-
 # ---------------------------------------------------------------------------
-# Row indexing
+# Parameter counts and row configurations
 # ---------------------------------------------------------------------------
 
 
@@ -168,35 +133,6 @@ def param_count(parent_cards: Sequence[int], child_card: int) -> int:
     if any(c < 1 for c in cards):
         raise ValidationError("parent cardinalities must be >= 1")
     return math.prod(cards) * (child_card - 1)
-
-
-def row_index(config: ParentConfig | Sequence[int], parent_cards: Sequence[int]) -> int:
-    """Canonical row index of a parent configuration (first parent varies fastest)."""
-    values = config.values if isinstance(config, ParentConfig) else tuple(config)
-    cards = tuple(int(c) for c in parent_cards)
-    if len(values) != len(cards):
-        raise ValidationError(f"config has {len(values)} entries for {len(cards)} parents")
-    index = 0
-    stride = 1
-    for v, c in zip(values, cards):
-        if not 0 <= v < c:
-            raise ValidationError(f"state index {v} out of range for cardinality {c}")
-        index += v * stride
-        stride *= c
-    return index
-
-
-def config_of(index: int, parent_cards: Sequence[int]) -> ParentConfig:
-    """Inverse of :func:`row_index`."""
-    cards = tuple(int(c) for c in parent_cards)
-    n_rows = math.prod(cards)
-    if not 0 <= index < n_rows:
-        raise ValidationError(f"row index {index} out of range [0, {n_rows})")
-    values = []
-    for c in cards:
-        values.append(index % c)
-        index //= c
-    return ParentConfig(tuple(values))
 
 
 def config_table(parent_cards: Sequence[int]) -> np.ndarray:
@@ -212,22 +148,8 @@ def config_table(parent_cards: Sequence[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Estimation and metrics
+# Metrics
 # ---------------------------------------------------------------------------
-
-
-def mle_from_counts(table: CountTable) -> Cpt:
-    """Relative-frequency (maximum likelihood) CPT from a table of counts.
-
-    Every row must have at least one observation; a zero-total row is an
-    error rather than a silent uniform fill.
-    """
-    totals = table.counts.sum(axis=1)
-    if np.any(totals <= 0):
-        k = int(np.argmin(totals))
-        raise ValidationError(f"row {k} has no observations; cannot normalise")
-    rows = table.counts / totals[:, None]
-    return Cpt(table.child, table.parents, rows)
 
 
 def tvd_row(p: Sequence[float], q: Sequence[float]) -> float:

@@ -50,10 +50,10 @@ from .refine import (
     IciSpec,
     ScmSpec,
     SiciSpec,
-    _binary_state_tables,
+    _binary_states,
+    _block_rows,
     _check_covers,
-    _mech_config_products,
-    _mech_param_index,
+    _mech_joint,
     canonical_partition,
     evaluate_spec,
     scm_fit,
@@ -391,16 +391,21 @@ def _partition_batch_fitness(
     """Vectorised sum-TVD objective for a US-SICI structure on a binary child.
 
     Returns (batch fitness over a population matrix, genome shape, block
-    sizes of the real-gene segments in block order). The mechanism products
-    are the ones the spec evaluators use, taken over the population at once.
+    sizes of the real-gene segments in block order). The per-block gather and
+    mechanism products are the ones the spec evaluators use, taken over the
+    population at once.
     """
-    gene_idx, block_sizes = _mech_param_index(truth.parent_cards, partition)
+    cards = truth.parent_cards
+    rows = _block_rows(cards, partition)
+    block_sizes = tuple(math.prod(cards[i] for i in block) for block in partition)
+    splits = np.cumsum(block_sizes)[:-1]
     t_yes = truth.rows[:, 1]
     n_mconf = 1 << len(partition)
     n_comb = n_mconf - 1
 
     def batch(pop: np.ndarray) -> np.ndarray:
-        joint = _mech_config_products(_binary_state_tables(pop[:, n_comb:], gene_idx))
+        tables = [_binary_states(p1) for p1 in np.split(pop[:, n_comb:], splits, axis=1)]
+        joint = _mech_joint(tables, rows)
         to_yes = np.concatenate(
             [np.zeros((pop.shape[0], 1)), (pop[:, :n_comb] >= 0.5).astype(np.float64)], axis=1
         )

@@ -20,8 +20,10 @@ there is no closed-form fit (the optimizer module searches them):
 * SICI         - ICI generalised so blocks of parents share one mechanism.
                  The upper-stochastic (US) variant keeps a deterministic
                  combiner; the double-stochastic (DS) variant replaces it
-                 with a stochastic lower table p(y | mechanisms), as does
-                 PICI for the per-parent-mechanism case.
+                 with a stochastic lower table p(y | mechanisms). Mechanisms
+                 may have k states. PICI (noisy-average among them) is
+                 DS-SICI with singleton blocks, and ICI is US-SICI with
+                 singleton blocks: one ``SiciSpec`` describes the family.
 """
 
 from __future__ import annotations
@@ -129,46 +131,77 @@ class IciSpec:
 
 @dataclass(frozen=True)
 class SiciSpec:
-    """Blocks of parents share binary mechanisms; upper or lower variant.
+    """Blocks of parents share mechanisms, joined by a combiner or a lower table.
 
     ``parent_partition`` is a partition of parent indices; parents in one
-    block feed one mechanism. ``mech_cpts[b][c]`` is P(mechanism_b = 1 |
-    block b's joint configuration c), joint configurations indexed
-    mixed-radix over the block's parents (sorted ascending, first fastest).
+    block feed one mechanism. ``mech_cpts[b]`` is block b's mechanism table
+    over the block's joint configurations c, indexed mixed-radix over the
+    block's parents (sorted ascending, first fastest). It is either the
+    binary shorthand, one P(mechanism_b = 1 | c) per configuration, or one
+    distribution over the mechanism's k_b states per configuration.
 
     Exactly one of ``combiner`` (deterministic, the US variant) and
     ``lower_cpt`` (stochastic p(y | mechanisms), the DS variant) must be
-    given; both are indexed over the 2^m mechanism configurations.
+    given; both are indexed over the prod k_b mechanism configurations,
+    mechanism 0 fastest. PICI, noisy-average included, is DS-SICI with every
+    parent in a block of its own.
     """
 
     parent_partition: tuple[tuple[int, ...], ...]
-    mech_cpts: tuple[tuple[float, ...], ...]
+    mech_cpts: tuple[tuple, ...]
     combiner: tuple[int, ...] | None = None
     lower_cpt: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         part = canonical_partition(self.parent_partition)
         object.__setattr__(self, "parent_partition", part)
-        object.__setattr__(
-            self, "mech_cpts", tuple(tuple(float(p) for p in v) for v in self.mech_cpts)
-        )
-        if self.combiner is not None:
-            object.__setattr__(self, "combiner", tuple(int(y) for y in self.combiner))
-        if self.lower_cpt is not None:
-            object.__setattr__(
-                self, "lower_cpt", tuple(tuple(float(p) for p in r) for r in self.lower_cpt)
-            )
+        tables = [_prob_table(v, "mechanism") for v in self.mech_cpts]
+        object.__setattr__(self, "mech_cpts", tuple(_as_tuples(t) for t in tables))
         if (self.combiner is None) == (self.lower_cpt is None):
             raise ValidationError("exactly one of combiner / lower_cpt must be given")
-        if len(self.mech_cpts) != len(part):
+        if len(tables) != len(part):
             raise ValidationError("need one mechanism table per parent block")
-        m = len(part)
+        if self.combiner is not None:
+            object.__setattr__(self, "combiner", tuple(int(y) for y in self.combiner))
+        else:
+            lower = _prob_table(self.lower_cpt, "lower")
+            if lower.ndim != 2:
+                raise ValidationError("lower table needs one row per mechanism configuration")
+            object.__setattr__(self, "lower_cpt", _as_tuples(lower))
+        n_configs = math.prod(t.shape[1] for t in self.state_tables())
         table = self.combiner if self.combiner is not None else self.lower_cpt
-        if len(table) != 1 << m:
-            raise ValidationError(f"need entries for all {1 << m} mechanism configurations")
-        for v in self.mech_cpts:
-            if any(not 0.0 <= p <= 1.0 for p in v):
-                raise ValidationError("mechanism probabilities must lie in [0, 1]")
+        if len(table) != n_configs:
+            raise ValidationError(f"need entries for all {n_configs} mechanism configurations")
+
+    def state_tables(self) -> list[np.ndarray]:
+        """Per block, the (configs_b, k_b) table of P(mechanism_b = s | configuration)."""
+        tables = [np.array(t, dtype=np.float64) for t in self.mech_cpts]
+        return [_binary_states(t) if t.ndim == 1 else t for t in tables]
+
+
+def _prob_table(table, what: str) -> np.ndarray:
+    """A 1-D or 2-D table of probabilities; each row of a 2-D table is a distribution."""
+    try:
+        arr = np.array(table, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} table must be a rectangular array of numbers") from None
+    if arr.ndim not in (1, 2):
+        raise ValidationError(f"{what} table must be 1-D or 2-D, got {arr.ndim} dimensions")
+    # written so that NaN, which fails every comparison, is rejected too
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValidationError(f"{what} probabilities must lie in [0, 1]")
+    if arr.ndim == 2 and np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-9):
+        raise ValidationError(f"{what} table rows must sum to 1")
+    return arr
+
+
+def _as_tuples(arr: np.ndarray) -> tuple:
+    return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.tolist())
+
+
+def _binary_states(p1: np.ndarray) -> np.ndarray:
+    """(..., 2) state tables [P(M = 0), P(M = 1)] from P(M = 1) values."""
+    return np.stack([1.0 - p1, p1], axis=-1)
 
 
 RefinementSpec = PruneSpec | DivorceSpec | ScmSpec | IciSpec | SiciSpec
@@ -348,33 +381,16 @@ def _mech_config_products(tables: Sequence[np.ndarray]) -> np.ndarray:
     each state s; leading axes, such as the GA's population axis, broadcast.
     Returns a (..., n_rows, prod k_b) array built by successive outer
     products, configurations indexed mixed-radix with mechanism 0 fastest.
+    With no mechanisms (a root node) it is the (1, 1) array of the single
+    empty configuration.
     """
+    if not tables:
+        return np.ones((1, 1))
     out = tables[0]
     for p in tables[1:]:
         joint = p[..., :, None] * out[..., None, :]
         out = joint.reshape(*joint.shape[:-2], -1)
     return out
-
-
-def _binary_state_tables(p1: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
-    """Per-mechanism (..., n_rows, 2) tables [P(M=0), P(M=1)] read from flat P(M=1) parameters.
-
-    ``p1`` has shape (..., n_params); ``idx`` is the (n_rows, m) index of
-    :func:`_mech_param_index`.
-    """
-    states = np.stack([1.0 - p1, p1], axis=-1)
-    # np.take keeps C order, which fixes the summation order of later row sums
-    return [np.take(states, idx[:, b], axis=-2) for b in range(idx.shape[1])]
-
-
-def _check_lower(lower_cpt, n_configs: int, child_card: int) -> np.ndarray:
-    """A stochastic lower table p(y | mechanism configuration) as a checked array."""
-    lower = np.asarray(lower_cpt, dtype=np.float64)
-    if lower.shape != (n_configs, child_card):
-        raise ShapeMismatchError(f"lower table must have shape ({n_configs}, {child_card})")
-    if np.any(np.abs(lower.sum(axis=1) - 1.0) > 1e-9):
-        raise ValidationError("lower table rows must sum to 1")
-    return lower
 
 
 def ici_evaluate(child: Variable, parents: Sequence[Variable], spec: IciSpec) -> Cpt:
@@ -421,44 +437,22 @@ def noisy_or_closed_form(
     return Cpt(child, tuple(parents), np.stack([p0, 1.0 - p0], axis=1))
 
 
-def _as_mech_matrix(v, card: int) -> np.ndarray:
-    """Mechanism table for one parent as a (card, mech_card) matrix.
-
-    A 1-D vector of length ``card`` is the binary shorthand P(M=1 | x).
-    """
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim == 1:
-        if arr.shape[0] != card:
-            raise ShapeMismatchError(f"mechanism vector has length {arr.shape[0]}, want {card}")
-        return np.stack([1.0 - arr, arr], axis=1)
-    if arr.ndim == 2 and arr.shape[0] == card:
-        return arr
-    raise ShapeMismatchError(f"mechanism table has shape {arr.shape}, want ({card}, mech_card)")
-
-
 def pici_evaluate(
-    child: Variable,
-    parents: Sequence[Variable],
-    mech_cpts: Sequence,
-    lower_cpt: np.ndarray,
+    child: Variable, parents: Sequence[Variable], mech_cpts: Sequence, lower_cpt: np.ndarray
 ) -> Cpt:
-    """Forward-evaluate a PICI model: ICI with a stochastic lower table.
+    """Forward-evaluate a PICI model: DS-SICI with every parent in a block of its own.
 
     p(y | x) = sum over all mechanism configurations m of
-    p(y | m) * prod_i P(m_i | x_i). Mechanisms may have any cardinality here
-    (the noisy-average model gives them the child's state space); pass 2-D
-    per-parent tables for that, or 1-D P(M=1 | x) vectors for binary.
+    p(y | m) * prod_i P(m_i | x_i). ``mech_cpts[i]`` is parent i's mechanism
+    table in either form :class:`SiciSpec` takes: a P(M=1 | x) vector for a
+    binary mechanism, or one row per parent state for a k-state mechanism
+    (the noisy-average model gives mechanisms the child's state space).
     """
     parents = tuple(parents)
     if len(mech_cpts) != len(parents):
         raise ShapeMismatchError("need one mechanism table per parent")
-    mats = [_as_mech_matrix(v, p.cardinality) for v, p in zip(mech_cpts, parents)]
-    lower = _check_lower(lower_cpt, math.prod(m.shape[1] for m in mats), child.cardinality)
-    if not mats:  # a root node: the single empty mechanism configuration
-        return Cpt(child, parents, lower)
-    states = config_table(tuple(p.cardinality for p in parents))
-    joint = _mech_config_products([mat[states[:, i]] for i, mat in enumerate(mats)])
-    return Cpt(child, parents, joint @ lower)
+    singletons = tuple((i,) for i in range(len(parents)))
+    return ds_sici_evaluate(child, parents, SiciSpec(singletons, mech_cpts, lower_cpt=lower_cpt))
 
 
 def noisy_average_lower(n_mechs: int, card: int) -> np.ndarray:
@@ -484,19 +478,20 @@ def _block_config_index(
     return idx
 
 
-def _mech_param_index(
-    cards: Sequence[int], partition: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Where each row reads its mechanism probabilities in the flat parameter vector.
-
-    The vector holds the blocks' mechanism tables back to back in block
-    order. Returns an (n_rows, m) index into it and the block table sizes.
-    """
+def _block_rows(cards: Sequence[int], partition: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """Per parent block, each CPT row's configuration index within the block."""
     states = config_table(cards)
-    sizes = tuple(math.prod(cards[i] for i in block) for block in partition)
-    offsets = np.cumsum((0, *sizes[:-1]))
-    idx = np.stack([_block_config_index(states, block, cards) for block in partition], axis=1)
-    return idx + offsets, sizes
+    return [_block_config_index(states, block, cards) for block in partition]
+
+
+def _mech_joint(tables: Sequence[np.ndarray], rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Joint mechanism-configuration probabilities per CPT row.
+
+    ``tables[b]`` is block b's (..., configs_b, k_b) state table and
+    ``rows[b]`` the index :func:`_block_rows` gives for block b.
+    """
+    # np.take keeps C order, which fixes the summation order of later row sums
+    return _mech_config_products([np.take(t, r, axis=-2) for t, r in zip(tables, rows)])
 
 
 def _check_covers(partition: Sequence[Sequence[int]], n_parents: int) -> None:
@@ -505,16 +500,17 @@ def _check_covers(partition: Sequence[Sequence[int]], n_parents: int) -> None:
 
 
 def _sici_joint(spec: SiciSpec, parents: Sequence[Variable]) -> np.ndarray:
-    """(n_rows, 2^m) mechanism-configuration probabilities of a SICI spec."""
+    """(n_rows, prod k_b) mechanism-configuration probabilities of a SICI spec."""
     cards = tuple(p.cardinality for p in parents)
     _check_covers(spec.parent_partition, len(parents))
-    idx, sizes = _mech_param_index(cards, spec.parent_partition)
-    for block, table, size in zip(spec.parent_partition, spec.mech_cpts, sizes):
+    tables = spec.state_tables()
+    for block, table in zip(spec.parent_partition, tables):
+        size = math.prod(cards[i] for i in block)
         if len(table) != size:
             raise ShapeMismatchError(
                 f"mechanism table for block {block} has {len(table)} entries, want {size}"
             )
-    return _mech_config_products(_binary_state_tables(np.concatenate(spec.mech_cpts), idx))
+    return _mech_joint(tables, _block_rows(cards, spec.parent_partition))
 
 
 def us_sici_evaluate(child: Variable, parents: Sequence[Variable], spec: SiciSpec) -> Cpt:
@@ -542,7 +538,9 @@ def ds_sici_evaluate(child: Variable, parents: Sequence[Variable], spec: SiciSpe
     """
     if spec.lower_cpt is None:
         raise ValidationError("DS variant needs a lower table; this spec has a combiner")
-    lower = _check_lower(spec.lower_cpt, 1 << len(spec.parent_partition), child.cardinality)
+    lower = np.array(spec.lower_cpt)
+    if lower.shape[1] != child.cardinality:
+        raise ShapeMismatchError("lower table needs one column per child state")
     joint = _sici_joint(spec, parents)
     return Cpt(child, tuple(parents), joint @ lower)
 
@@ -558,8 +556,9 @@ def param_savings(
     """Free-parameter count of a refinement and its saving vs the full CPT.
 
     Counts generalise the all-binary formulas by taking products of block
-    cardinalities: a binary mechanism over a parent block costs one free
-    parameter per joint configuration of the block.
+    cardinalities: a k-state mechanism over a parent block costs k - 1 free
+    parameters per joint configuration of the block, and a lower table
+    child_card - 1 per mechanism configuration.
     """
     cards = tuple(int(c) for c in parent_cards)
     full = param_count(cards, child_card)
@@ -573,9 +572,13 @@ def param_savings(
     elif isinstance(spec, IciSpec):
         free = sum(cards)
     elif isinstance(spec, SiciSpec):
-        free = sum(math.prod(cards[i] for i in b) for b in spec.parent_partition)
+        mech_cards = [t.shape[1] for t in spec.state_tables()]
+        free = sum(
+            math.prod(cards[i] for i in b) * (k - 1)
+            for b, k in zip(spec.parent_partition, mech_cards)
+        )
         if spec.lower_cpt is not None:
-            free += (1 << len(spec.parent_partition)) * (child_card - 1)
+            free += math.prod(mech_cards) * (child_card - 1)
     else:
         raise ValidationError(f"unknown spec type {type(spec).__name__}")
     return free, full - free

@@ -1,4 +1,4 @@
-"""Core data model: indexing, metrics, medians, groupings."""
+"""Core data model: row order, metrics, medians, groupings."""
 
 import itertools
 import math
@@ -10,17 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpt_refine import (
-    CountTable,
     Cpt,
     Variable,
-    config_of,
+    config_table,
     expand_grouped,
     fit_grouping,
     kl_row,
     median_lad,
-    mle_from_counts,
     param_count,
-    row_index,
     score_sum_tvd,
     tvd_row,
 )
@@ -61,63 +58,25 @@ class TestParamCount:
 
 
 class TestRowIndexing:
+    """Canonical row order: mixed radix over the parents, the first varying fastest."""
+
     def test_first_config_is_zero(self):
-        assert row_index((0, 0, 0, 0), (2, 2, 2, 3)) == 0
+        assert config_table((2, 2, 2, 3))[0].tolist() == [0, 0, 0, 0]
 
     def test_first_parent_varies_fastest(self):
         # Depression=Yes with everything else at its first state is row 2 (index 1)
-        assert row_index((1, 0, 0, 0), (2, 2, 2, 3)) == 1
+        assert config_table((2, 2, 2, 3))[1].tolist() == [1, 0, 0, 0]
 
     def test_last_config(self):
-        assert row_index((1, 1, 1, 2), (2, 2, 2, 3)) == 23
-
-    def test_out_of_range_state(self):
-        with pytest.raises(ValidationError):
-            row_index((0, 0, 0, 3), (2, 2, 2, 3))
-
-    def test_out_of_range_index(self):
-        with pytest.raises(ValidationError):
-            config_of(24, (2, 2, 2, 3))
+        assert config_table((2, 2, 2, 3))[23].tolist() == [1, 1, 1, 2]
 
     @given(cards=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5))
     def test_bijection(self, cards):
-        n = math.prod(cards)
-        seen = set()
-        for k in range(n):
-            config = config_of(k, cards)
-            assert row_index(config, cards) == k
-            seen.add(config.values)
-        assert len(seen) == n
-
-
-class TestMle:
-    def _table(self, counts):
-        child = Variable("Y", ("a", "b"))
-        parent = Variable("X", ("a", "b"))
-        return CountTable(child, (parent,), np.asarray(counts))
-
-    def test_direct_ratio(self):
-        cpt = mle_from_counts(self._table([[3, 1], [1, 3]]))
-        assert np.allclose(cpt.rows[0], (0.75, 0.25))
-
-    def test_degenerate_ratio(self):
-        cpt = mle_from_counts(self._table([[0, 5], [5, 0]]))
-        assert np.allclose(cpt.rows[0], (0.0, 1.0))
-
-    def test_zero_total_row_is_an_error(self):
-        with pytest.raises(ValidationError):
-            mle_from_counts(self._table([[0, 0], [1, 1]]))
-
-    def test_recovers_generator_within_monte_carlo_error(self, anxiety):
-        # Oracle: law of large numbers. Draw 1e6 samples per row from the
-        # fixture CPT and check the relative frequencies come back.
-        rng = np.random.default_rng(20240811)
-        n = 1_000_000
-        counts = np.stack(
-            [rng.multinomial(n, row) for row in anxiety.rows]
-        )
-        recovered = mle_from_counts(CountTable(anxiety.child, anxiety.parents, counts))
-        assert np.abs(recovered.rows - anxiety.rows).max() < 0.005
+        states = config_table(cards)
+        assert states.shape == (math.prod(cards), len(cards))
+        assert np.all((states >= 0) & (states < np.asarray(cards)))
+        strides = np.cumprod((1, *cards[:-1]))
+        assert (states @ strides).tolist() == list(range(math.prod(cards)))
 
 
 class TestTvd:

@@ -37,8 +37,8 @@ from cpt_refine import (
     us_sici_evaluate,
 )
 from cpt_refine.cpt import config_table
-from cpt_refine.refine import _mech_config_products
-from cpt_refine.errors import ValidationError
+from cpt_refine.refine import _mech_config_products, canonical_partition
+from cpt_refine.errors import ShapeMismatchError, ValidationError
 
 from conftest import random_cpt
 
@@ -402,24 +402,62 @@ class TestPici:
                         expected[y] += w * ((m0 == y) + (m1 == y)) / 2
             assert np.abs(cpt.rows[k] - expected).max() <= 1e-12
 
-    @settings(max_examples=50)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_matches_double_sum_oracle(self, seed):
+    @settings(max_examples=50, deadline=None)
+    @given(
+        cards=st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3),
+        child_card=st.sampled_from((2, 3)),
+        data=st.data(),
+    )
+    def test_matches_double_sum_oracle(self, cards, child_card, data):
+        # PICI when every block is a singleton, else DS-SICI; mechanisms of 2 or 3
+        # states, binary ones given in either table form
+        n = len(cards)
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        blocks = len(set(labels))
+        mech_cards = data.draw(
+            st.lists(st.sampled_from((2, 3)), min_size=blocks, max_size=blocks)
+        )
+        shorthand = data.draw(st.lists(st.booleans(), min_size=blocks, max_size=blocks))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        partition = canonical_partition(
+            [[i for i in range(n) if labels[i] == g] for g in set(labels)]
+        )
         rng = np.random.default_rng(seed)
-        parents = binary_parents(2)
-        mech = tuple(rng.random(2) for _ in range(2))
-        lower = rng.random((4, 2))
+        parents = tuple(
+            Variable(f"X{i}", tuple(f"s{j}" for j in range(c))) for i, c in enumerate(cards)
+        )
+        child = Variable("Y", tuple(f"y{j}" for j in range(child_card)))
+        states = []  # per block, P(M_b = s | block configuration c) as states[b][c][s]
+        mech = []
+        for block, k, short in zip(partition, mech_cards, shorthand):
+            configs = math.prod(cards[i] for i in block)
+            if k == 2 and short:
+                p1 = rng.random(configs)
+                mech.append(tuple(p1))
+                states.append([(1 - p, p) for p in p1])
+            else:
+                rows = rng.random((configs, k))
+                rows /= rows.sum(axis=1, keepdims=True)
+                mech.append(rows)
+                states.append(rows)
+        lower = rng.random((math.prod(mech_cards), child_card))
         lower /= lower.sum(axis=1, keepdims=True)
-        cpt = pici_evaluate(BIN, parents, mech, lower)
-        states = config_table((2, 2))
-        for k in range(4):
-            expected = np.zeros(2)
-            for m in range(4):
-                m0, m1 = m & 1, (m >> 1) & 1
-                w = (mech[0][states[k, 0]] if m0 else 1 - mech[0][states[k, 0]]) * (
-                    mech[1][states[k, 1]] if m1 else 1 - mech[1][states[k, 1]]
-                )
-                expected += w * lower[m]
+        cpt = ds_sici_evaluate(child, parents, SiciSpec(partition, mech, lower_cpt=lower))
+        if len(partition) == n:
+            assert np.array_equal(pici_evaluate(child, parents, mech, lower).rows, cpt.rows)
+        for k, x in enumerate(config_table(cards)):
+            expected = np.zeros(child_card)
+            for m in itertools.product(*(range(c) for c in mech_cards)):
+                w, index, stride = 1.0, 0, 1
+                for b, block in enumerate(partition):
+                    c, c_stride = 0, 1
+                    for i in block:
+                        c += x[i] * c_stride
+                        c_stride *= cards[i]
+                    w *= states[b][c][m[b]]
+                    index += m[b] * stride
+                    stride *= mech_cards[b]
+                expected += w * lower[index]
             assert np.abs(cpt.rows[k] - expected).max() <= 1e-12
 
 
@@ -478,8 +516,32 @@ class TestSici:
 
     def test_blocks_must_cover_parents(self):
         spec = SiciSpec(((0,),), ((0.5, 0.5),), combiner=(0, 1))
-        with pytest.raises(Exception):
+        with pytest.raises(ShapeMismatchError):
             us_sici_evaluate(BIN, binary_parents(2), spec)
+
+    NOT_DISTRIBUTIONS = [
+        (1.5, -0.5), (1.2, -0.2), (0.5, 0.9), (float("nan"), 1.0), (0.5, 0.5 + 2e-9)
+    ]
+
+    @pytest.mark.parametrize("row", NOT_DISTRIBUTIONS)
+    def test_rejects_mechanism_rows_that_are_not_distributions(self, row):
+        with pytest.raises(ValidationError, match="mechanism"):
+            SiciSpec(((0,),), (((0.5, 0.5), row),), lower_cpt=((1.0, 0.0), (0.0, 1.0)))
+        with pytest.raises(ValidationError, match="mechanism"):
+            pici_evaluate(BIN, binary_parents(1), [[row, (0.5, 0.5)]], [[0.5, 0.5], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("row", NOT_DISTRIBUTIONS)
+    def test_rejects_lower_rows_that_are_not_distributions(self, row):
+        with pytest.raises(ValidationError, match="lower"):
+            SiciSpec(((0,),), ((0.1, 0.2),), lower_cpt=(row, (0.0, 1.0)))
+        with pytest.raises(ValidationError, match="lower"):
+            pici_evaluate(BIN, binary_parents(1), [(0.1, 0.2)], [(0.0, 1.0), row])
+
+    def test_accepts_rows_within_tolerance(self):
+        mech = ((0.5, 0.5 + 5e-10), (0.0, 1.0))
+        spec = SiciSpec(((0,),), (mech,), lower_cpt=((0.3, 0.7 - 5e-10), (1.0, 0.0)))
+        assert spec.mech_cpts == (mech,)
+        assert spec.lower_cpt[0] == (0.3, 0.7 - 5e-10)
 
     @settings(max_examples=50)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -535,3 +597,21 @@ class TestEvaluateSpec:
         assert np.abs(result.cpt.rows - method_columns["pruning"].rows).max() <= 5e-5 + 1e-12
         result = evaluate_spec(anxiety, DivorceSpec((1, 3), "AND", ((1,), (2,))))
         assert np.abs(result.cpt.rows - method_columns["divorcing"].rows).max() <= 5e-5 + 1e-12
+
+    def test_covers_noisy_average_pici(self):
+        # a PICI spec with 3-state mechanisms and a 3-state child scores through
+        # the generic spec path exactly as pici_evaluate evaluates it
+        rng = np.random.default_rng(21)
+        cards, k = (2, 3, 2), 3
+        truth = random_cpt(rng, cards, child_card=k)
+        mech = [rng.random((c, k)) for c in cards]
+        mech = [t / t.sum(axis=1, keepdims=True) for t in mech]
+        lower = noisy_average_lower(len(cards), k)
+        spec = SiciSpec(((0,), (1,), (2,)), mech, lower_cpt=lower)
+        result = evaluate_spec(truth, spec)
+        direct = pici_evaluate(truth.child, truth.parents, mech, lower)
+        assert np.array_equal(result.cpt.rows, direct.rows)
+        assert result.score == score_sum_tvd(truth, direct)
+        free = sum(cards) * (k - 1) + k ** len(cards) * (k - 1)
+        assert result.free_params == free
+        assert param_savings(spec, cards, k) == (free, param_count(cards, k) - free)
