@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Full-strength reproduction on the bundled Anxiety benchmark.
 
-Runs all five refinement methods with the default GA configuration and
-writes the comparison report plus per-method approximate CPT documents
-under results/. About 95 s of compute on a 2-vCPU VM; rerunning with the
+Runs all five refinement methods with the default search configuration
+and writes the comparison report plus per-method approximate CPT documents
+under results/. About 5 s of compute on a 2-vCPU VM; rerunning with the
 same seed rewrites identical files.
 """
 

@@ -128,13 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true", help="no effect; the search prints nothing")
     p.set_defaults(func=cmd_scm)
 
-    p = sub.add_parser("ici", help="GA search of the ICI model")
+    p = sub.add_parser("ici", help="coordinate-descent search of the ICI model")
     p.add_argument("truth")
     p.add_argument("--out", help="write the expanded approximate CPT here")
     _add_ga_flags(p)
     p.set_defaults(func=cmd_ici)
 
-    p = sub.add_parser("sici", help="GA search of US-SICI models")
+    p = sub.add_parser("sici", help="coordinate-descent search of US-SICI models")
     p.add_argument("truth")
     p.add_argument(
         "--partition",
@@ -152,18 +152,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--population", type=int, default=300)
-    p.add_argument("--max-generations", type=int, default=2000)
-    p.add_argument("--stall", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0, help="seed of the first batch (default 0)")
+    p.add_argument("--restarts", type=int, default=10,
+                   help="batches of random starts (default 10)")
+    p.add_argument("--population", type=int, default=300,
+                   help="random starts per batch (default 300)")
+    p.add_argument("--max-generations", type=int, default=2000,
+                   help="cap on coordinate-descent sweeps per batch (default 2000)")
+    p.add_argument("--stall", type=int, default=50,
+                   help="no effect; a batch stops after a sweep that gains less than 1e-5")
 
 
 def _ga_config(args) -> GaConfig:
     return GaConfig(
         population=args.population,
         max_generations=args.max_generations,
-        stall_limit=args.stall,
         seed=args.seed,
         restarts=args.restarts,
     )
@@ -340,9 +343,9 @@ def cmd_reproduce(args) -> int:
     div_spec, div_result = divorce_best(truth)
     say("scm: exact search over sorted contiguous row splits")
     scm_search = scm_exact(truth)
-    say("ici: genetic algorithm")
+    say("ici: coordinate descent from seeded random starts")
     ici_search = optimize_ici(truth, config)
-    say("sici: genetic algorithm per parent partition")
+    say("sici: coordinate descent per parent partition")
     sici_search = optimize_sici(truth, replace(config, seed=config.seed + config.restarts)).best
 
     named: list[tuple[str, RefinementSpec, ApproxResult]] = [

@@ -1,6 +1,6 @@
 """Search machinery for the refinement methods without closed-form fits.
 
-Three layers:
+Four parts:
 
 * exact enumeration - non-trivial bipartitions and set partitions of the
   parent set (for SICI structures), the latter via restricted growth
@@ -13,21 +13,26 @@ Three layers:
   ``scm_bruteforce`` scans every bipartition with a vectorised
   median/absolute-deviation kernel and serves as its oracle.
 
-* a seeded genetic algorithm over a mixed encoding: combiner genes in
-  [0, 1) decode to child-state labels per mechanism configuration, the
-  remaining genes are the mechanism probabilities themselves. Selection is
-  binary tournament, crossover uniform (rate 0.8), elitism 5%, mutation
-  per-gene (rate 0.3): probability genes get a Gaussian step whose scale is
-  drawn log-uniformly between 1e-4 and 0.1 (the heavy tail of small steps
-  is what lets runs polish optima to the 1e-3 level; a fixed 0.1 scale
-  stalls around 1e-2), combiner genes resample uniformly. Identical seed
-  and config give bitwise-identical results. ``ga_optimize`` takes one
-  batch fitness that scores a whole (population, genes) matrix per call.
-  For ICI and SICI it is the forward pass of the spec evaluators in
-  ``refine`` (the same mechanism-product kernel) run over the population at
-  once; ICI is searched and evaluated as US-SICI with singleton parent
-  blocks. The SICI sweep runs its partitions one after another in one
-  process.
+* batched exact coordinate descent for ICI and SICI (ICI is searched and
+  evaluated as US-SICI with singleton parent blocks). The child is binary,
+  so each row's P(Y=1) is affine in every block's mechanism parameters, and
+  each row reads one parameter per block. With everything else fixed, a
+  parameter's least-absolute-deviation optimum is an exact weighted median
+  (the coordinate step of Wu & Lange, "Coordinate descent algorithms for
+  lasso penalized regression", Ann. Appl. Stat. 2008). A sweep first applies
+  each start's best improving single-bit combiner flip until none improves,
+  then refits the blocks in order. The objective has kinks where plain
+  coordinate descent stalls, so many seeded random starts run at once on the
+  leading axis of the ``refine`` mechanism-product kernel. Identical seed and
+  config give bitwise-identical results. The SICI sweep runs its partitions
+  one after another in one process.
+
+* a seeded genetic algorithm over a mixed encoding (``ga_optimize``): binary
+  tournament selection, uniform crossover (rate 0.8), elitism 5%, per-gene
+  mutation (rate 0.3) with a Gaussian step whose scale is drawn
+  log-uniformly between 1e-4 and 0.1, combiner genes resampled uniformly.
+  None of the searches here calls it; it stays while the benchmark's tracer
+  (``perfbench/tracing.py``) wraps it by name.
 
 The mechanism configuration (0, ..., 0) is pinned to child state 0: any
 non-trivial deterministic combiner can be brought to that form by flipping
@@ -71,7 +76,15 @@ _CROSSOVER_PROB = 0.8
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Genetic-algorithm hyperparameters; defaults follow the benchmark setup."""
+    """Search budget of the ICI and SICI searches (and of ``ga_optimize``).
+
+    For the coordinate descent, ``restarts`` is the number of batches,
+    ``population`` the number of random starts in each batch, and
+    ``max_generations`` the cap on sweeps per batch; batch r is seeded with
+    ``seed`` + r. ``stall_limit`` bounds generations without improvement in
+    ``ga_optimize`` only; the descent stops a batch after the first sweep
+    that lowers its best score by less than 1e-5.
+    """
 
     population: int = 300
     max_generations: int = 2000
@@ -125,7 +138,9 @@ class Genome:
 @dataclass(frozen=True, eq=False)
 class SearchResult:
     """A search's best spec and score; ``fit`` is that spec's fitted approximation
-    (None for the raw genome ``ga_optimize`` returns)."""
+    (None for the raw genome ``ga_optimize`` returns). ``generations_run``
+    counts GA generations or descent sweeps, summed over restarts, and
+    ``evaluations`` the candidate scores computed."""
 
     best_spec: object
     best_score: float
@@ -381,39 +396,161 @@ def _ga_single_run(
 
 
 # ---------------------------------------------------------------------------
-# ICI / SICI objectives
+# ICI / SICI search: batched exact coordinate descent
 # ---------------------------------------------------------------------------
 
+# A sweep must lower its batch's best sum-TVD by at least this much, or the
+# batch stops. Near a local optimum the descent converges linearly: on small
+# network nodes each sweep's gain was 0.3-0.5 times the last, so a
+# strict-decrease rule ran on to gains of 1e-16, 20-40 sweeps where about 10
+# bring the gain under 1e-5, far below the 4 decimals the reports print. Over
+# seeds 1-10 of the benchmark's network pool that tail made the total sweep
+# count vary by 16% (interquartile range over median); with this floor, 4%.
+_MIN_SWEEP_GAIN = 1e-5
 
-def _partition_batch_fitness(
-    truth: Cpt, partition: Sequence[Sequence[int]]
-) -> tuple[Callable[[np.ndarray], np.ndarray], GenomeShape, tuple[int, ...]]:
-    """Vectorised sum-TVD objective for a US-SICI structure on a binary child.
 
-    Returns (batch fitness over a population matrix, genome shape, block
-    sizes of the real-gene segments in block order). The per-block gather and
-    mechanism products are the ones the spec evaluators use, taken over the
-    population at once.
+@dataclass(frozen=True, eq=False)
+class _Structure:
+    """A US-SICI structure over a binary-child truth CPT, as the descent reads it."""
+
+    t_yes: np.ndarray  # (rows,) target P(Y = 1)
+    rows: list[np.ndarray]  # per block, each row's configuration index (``_block_rows``)
+    by_config: list[np.ndarray]  # per block, the rows in order of that index
+    sizes: tuple[int, ...]  # per block, the number of configurations
+
+    @classmethod
+    def of(cls, truth: Cpt, partition: Sequence[Sequence[int]]) -> "_Structure":
+        cards = truth.parent_cards
+        rows = _block_rows(cards, partition)
+        by_config = [np.argsort(r, kind="stable") for r in rows]
+        sizes = tuple(math.prod(cards[i] for i in block) for block in partition)
+        return cls(truth.rows[:, 1], rows, by_config, sizes)
+
+
+@dataclass(eq=False)
+class _Starts:
+    """A batch of descent states. ``p_yes`` is each start's model P(Y = 1) per row
+    and ``score`` its sum of |p_yes - t_yes|, as the last step that moved it computed."""
+
+    mech: list[np.ndarray]  # per block, (starts, configs_b) P(M_b = 1 | configuration)
+    comb: np.ndarray  # (starts, 2^m) child state per mechanism configuration, 0.0 or 1.0
+    p_yes: np.ndarray  # (starts, rows)
+    score: np.ndarray  # (starts,)
+
+
+def _joint(structure: _Structure, mech: Sequence[np.ndarray], skip: int = -1) -> np.ndarray:
+    """(starts, rows, 2^m) mechanism-configuration probabilities, leaving out block ``skip``."""
+    keep = [b for b in range(len(mech)) if b != skip]
+    return _mech_joint([_binary_states(mech[b]) for b in keep], [structure.rows[b] for b in keep])
+
+
+def _random_starts(structure: _Structure, rng: np.random.Generator, n: int) -> _Starts:
+    """Uniform mechanism probabilities and combiner bits; configuration 0 maps to state 0."""
+    mech = [rng.random((n, size)) for size in structure.sizes]
+    comb = np.zeros((n, 1 << len(mech)))
+    comb[:, 1:] = rng.integers(0, 2, size=(n, comb.shape[1] - 1))
+    p_yes = (_joint(structure, mech) * comb[:, None, :]).sum(axis=-1)
+    return _Starts(mech, comb, p_yes, np.abs(p_yes - structure.t_yes).sum(axis=-1))
+
+
+def _flip_combiner(structure: _Structure, starts: _Starts) -> int:
+    """Apply each start's best improving single-bit combiner flip until none improves.
+
+    Every flip of every still-improving start is scored at once; configuration 0
+    stays pinned. Returns the number of candidate scores computed.
     """
-    cards = truth.parent_cards
-    rows = _block_rows(cards, partition)
-    block_sizes = tuple(math.prod(cards[i] for i in block) for block in partition)
-    splits = np.cumsum(block_sizes)[:-1]
-    t_yes = truth.rows[:, 1]
-    n_mconf = 1 << len(partition)
-    n_comb = n_mconf - 1
+    # (starts, 2^m - 1, rows): the P(Y = 1) mass each flippable configuration moves
+    moves = np.ascontiguousarray(np.swapaxes(_joint(structure, starts.mech), 1, 2)[:, 1:])
+    active = np.arange(len(starts.score))
+    evaluations = 0
+    while active.size:
+        sign = 1.0 - 2.0 * starts.comb[active, 1:]
+        cand = starts.p_yes[active, None, :] + sign[:, :, None] * moves[active]
+        scores = np.abs(cand - structure.t_yes).sum(axis=-1)
+        evaluations += scores.size
+        j = np.argmin(scores, axis=1)
+        at = np.arange(active.size)
+        improves = scores[at, j] < starts.score[active]
+        at, j, active = at[improves], j[improves], active[improves]
+        starts.comb[active, j + 1] = 1.0 - starts.comb[active, j + 1]
+        starts.p_yes[active] = cand[at, j]
+        starts.score[active] = scores[at, j]
+    return evaluations
 
-    def batch(pop: np.ndarray) -> np.ndarray:
-        tables = [_binary_states(p1) for p1 in np.split(pop[:, n_comb:], splits, axis=1)]
-        joint = _mech_joint(tables, rows)
-        to_yes = np.concatenate(
-            [np.zeros((pop.shape[0], 1)), (pop[:, :n_comb] >= 0.5).astype(np.float64)], axis=1
-        )
-        p_yes = np.einsum("prj,pj->pr", joint, to_yes)
-        return np.abs(p_yes - t_yes[None, :]).sum(axis=1)
 
-    shape = GenomeShape(n_mconf, sum(block_sizes))
-    return batch, shape, block_sizes
+def _fit_block(structure: _Structure, starts: _Starts, b: int) -> int:
+    """Refit block b's mechanism probabilities exactly, every other parameter fixed.
+
+    Each row reads one parameter theta of block b, and its P(Y = 1) is
+    a * theta + d, where a and d come from the other blocks' joint and the
+    combiner's two halves over block b's mechanism state. The parameters
+    separate, and each one's least-absolute-deviation optimum over [0, 1] is
+    the lower weighted median of clip((t - d) / a, 0, 1), weights |a|, over
+    the rows that read it. A parameter read only by rows with a = 0 keeps its
+    value; a start keeps its old block if the refit would raise its score.
+    Returns the number of candidate scores computed.
+    """
+    n, n_rows = starts.p_yes.shape
+    t = structure.t_yes
+    joint = _joint(structure, starts.mech, skip=b)
+    halves = starts.comb.reshape(n, -1, 2, 1 << b)
+    off = halves[:, :, 0].reshape(n, 1, -1)
+    on = halves[:, :, 1].reshape(n, 1, -1)
+    # with b the only block the other blocks' joint is the (1, 1) empty product
+    d = np.broadcast_to((joint * off).sum(axis=-1), (n, n_rows))
+    a = np.broadcast_to((joint * (on - off)).sum(axis=-1), (n, n_rows))
+    z = np.clip(np.divide(t - d, a, out=np.zeros((n, n_rows)), where=a != 0), 0.0, 1.0)
+
+    # every configuration of the block is read by the same number of rows
+    group = (n, structure.sizes[b], -1)
+    rows = structure.by_config[b]
+    z, w = z[:, rows].reshape(group), np.abs(a)[:, rows].reshape(group)
+    order = np.argsort(z, axis=-1, kind="stable")
+    cum_w = np.take_along_axis(w, order, axis=-1).cumsum(axis=-1)
+    total = cum_w[..., -1:]
+    lower = np.argmax(2.0 * cum_w >= total, axis=-1)[..., None]
+    median = np.take_along_axis(np.take_along_axis(z, order, axis=-1), lower, axis=-1)
+    theta = np.where(total > 0.0, median, starts.mech[b][..., None])[..., 0]
+
+    p_yes = a * theta[:, structure.rows[b]] + d
+    score = np.abs(p_yes - t).sum(axis=-1)
+    take = score <= starts.score
+    starts.mech[b][take] = theta[take]
+    starts.p_yes[take] = p_yes[take]
+    starts.score[take] = score[take]
+    return n
+
+
+def _descend(
+    structure: _Structure,
+    config: GaConfig,
+    seed: int,
+    evals_before: int,
+    on_progress: ProgressFn | None,
+) -> tuple[_Starts, int, int]:
+    """One batch of ``config.population`` starts, seeded with ``seed``, swept to a stop.
+
+    A sweep runs the combiner flips, then refits the blocks in order. The
+    batch stops after the first sweep that lowers its best score by less than
+    ``_MIN_SWEEP_GAIN``, or after ``config.max_generations`` sweeps. Returns
+    (final states, sweeps, candidate scores computed).
+    """
+    starts = _random_starts(structure, np.random.default_rng(seed), config.population)
+    evaluations = config.population
+    best = float(starts.score.min())
+    sweeps = 0
+    while sweeps < config.max_generations:
+        sweeps += 1
+        evaluations += _flip_combiner(structure, starts)
+        for b in range(len(structure.sizes)):
+            evaluations += _fit_block(structure, starts, b)
+        swept = float(starts.score.min())
+        if on_progress is not None:
+            on_progress(evals_before + evaluations, swept)
+        if not swept < best - _MIN_SWEEP_GAIN:
+            break
+        best = swept
+    return starts, sweeps, evaluations
 
 
 def optimize_sici_partition(
@@ -422,10 +559,13 @@ def optimize_sici_partition(
     config: GaConfig,
     on_progress: ProgressFn | None = None,
 ) -> SearchResult:
-    """GA search of one US-SICI structure: combiner and mechanism tables jointly.
+    """Coordinate-descent search of one US-SICI structure: combiner and mechanism tables.
 
-    The result carries the best spec's re-scored fit, so its score equals
-    what :func:`evaluate_spec` gives for that spec bitwise.
+    Restart r is one batch of ``config.population`` random starts seeded with
+    config.seed + r; the best over all batches wins (the first on ties).
+    ``on_progress`` receives (candidate scores so far, the batch's best)
+    after each sweep. The result carries the best spec's re-scored fit, so
+    its score equals what :func:`evaluate_spec` gives for that spec bitwise.
     """
     if truth.child.cardinality != 2:
         raise ValidationError("the SICI objective requires a binary child")
@@ -433,21 +573,32 @@ def optimize_sici_partition(
     if not part:
         raise ValidationError("the SICI objective needs at least one parent")
     _check_covers(part, len(truth.parents))
-    batch, shape, block_sizes = _partition_batch_fitness(truth, part)
-    result = ga_optimize(batch, shape, config, on_progress=on_progress)
-    genome = result.best_spec
-    mech = np.split(genome.real_part, np.cumsum(block_sizes)[:-1])
-    spec = SiciSpec(part, mech, combiner=genome.integer_part)
+    structure = _Structure.of(truth, part)
+    best: tuple[float, _Starts, int, int] | None = None
+    evaluations = sweeps = 0
+    for r in range(config.restarts):
+        seed = config.seed + r
+        starts, n_sweeps, n_evals = _descend(structure, config, seed, evaluations, on_progress)
+        evaluations += n_evals
+        sweeps += n_sweeps
+        i = int(np.argmin(starts.score))
+        if best is None or starts.score[i] < best[0]:
+            best = (float(starts.score[i]), starts, i, seed)
+    _, starts, i, seed = best
+    spec = SiciSpec(
+        part, [m[i] for m in starts.mech], combiner=starts.comb[i].astype(np.int64).tolist()
+    )
     fit = evaluate_spec(truth, spec)
-    return replace(result, best_spec=spec, best_score=fit.score, fit=fit)
+    return SearchResult(spec, fit.score, evaluations, seed, sweeps, fit)
 
 
 def optimize_ici(
     truth: Cpt, config: GaConfig, on_progress: ProgressFn | None = None
 ) -> SearchResult:
-    """GA search of the ICI model: one binary mechanism per parent.
+    """Coordinate-descent search of the ICI model: one binary mechanism per parent.
 
-    The genome holds 2^n - 1 combiner genes (configuration 0 pinned to child
+    It searches US-SICI with every parent in a block of its own: a combiner
+    over the 2^n mechanism configurations (configuration 0 pinned to child
     state 0) and one probability per parent state.
     """
     n = len(truth.parents)
@@ -462,7 +613,7 @@ def optimize_ici(
 def optimize_sici(
     truth: Cpt, config: GaConfig, on_progress: Callable[[int, int, float], None] | None = None
 ) -> SiciSweep:
-    """GA search over every multi-block parent partition; best per partition and overall.
+    """Search every multi-block parent partition; best per partition and overall.
 
     The single-block partition is skipped (it brings no parameter saving).
     Partitions run one after another; partition p gets seeds config.seed +

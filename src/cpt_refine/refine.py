@@ -145,6 +145,11 @@ class SiciSpec:
     given; both are indexed over the prod k_b mechanism configurations,
     mechanism 0 fastest. PICI, noisy-average included, is DS-SICI with every
     parent in a block of its own.
+
+    The blocks are stored in canonical order (see :func:`canonical_partition`);
+    blocks given in another order take their mechanism tables with them, and
+    the combiner or lower table is re-indexed to match, so the spec describes
+    the same model.
     """
 
     parent_partition: tuple[tuple[int, ...], ...]
@@ -153,25 +158,30 @@ class SiciSpec:
     lower_cpt: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        part = canonical_partition(self.parent_partition)
+        blocks = [tuple(sorted(int(i) for i in b)) for b in self.parent_partition]
+        part = canonical_partition(blocks)
+        # order[k]: the given block that is canonical block k
+        order = sorted(range(len(blocks)), key=blocks.__getitem__)
         object.__setattr__(self, "parent_partition", part)
         tables = [_prob_table(v, "mechanism") for v in self.mech_cpts]
-        object.__setattr__(self, "mech_cpts", tuple(_as_tuples(t) for t in tables))
         if (self.combiner is None) == (self.lower_cpt is None):
             raise ValidationError("exactly one of combiner / lower_cpt must be given")
         if len(tables) != len(part):
             raise ValidationError("need one mechanism table per parent block")
+        mech_cards = [2 if t.ndim == 1 else t.shape[1] for t in tables]
         if self.combiner is not None:
-            object.__setattr__(self, "combiner", tuple(int(y) for y in self.combiner))
+            table = np.array([int(y) for y in self.combiner], dtype=np.int64)
         else:
-            lower = _prob_table(self.lower_cpt, "lower")
-            if lower.ndim != 2:
+            table = _prob_table(self.lower_cpt, "lower")
+            if table.ndim != 2:
                 raise ValidationError("lower table needs one row per mechanism configuration")
-            object.__setattr__(self, "lower_cpt", _as_tuples(lower))
-        n_configs = math.prod(t.shape[1] for t in self.state_tables())
-        table = self.combiner if self.combiner is not None else self.lower_cpt
+        n_configs = math.prod(mech_cards)
         if len(table) != n_configs:
             raise ValidationError(f"need entries for all {n_configs} mechanism configurations")
+        table = _reorder_mechanisms(table, mech_cards, order)
+        object.__setattr__(self, "mech_cpts", tuple(_as_tuples(tables[b]) for b in order))
+        field = "combiner" if self.combiner is not None else "lower_cpt"
+        object.__setattr__(self, field, _as_tuples(table))
 
     def state_tables(self) -> list[np.ndarray]:
         """Per block, the (configs_b, k_b) table of P(mechanism_b = s | configuration)."""
@@ -193,6 +203,18 @@ def _prob_table(table, what: str) -> np.ndarray:
     if arr.ndim == 2 and np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-9):
         raise ValidationError(f"{what} table rows must sum to 1")
     return arr
+
+
+def _reorder_mechanisms(
+    table: np.ndarray, mech_cards: Sequence[int], order: Sequence[int]
+) -> np.ndarray:
+    """Re-index a table over mechanism configurations (mechanism 0 fastest) so that
+    mechanism k of the result is mechanism ``order[k]`` of ``table``."""
+    m = len(mech_cards)
+    # C order puts mechanism b on axis m - 1 - b
+    grid = table.reshape(*reversed(mech_cards), *table.shape[1:])
+    axes = [m - 1 - order[m - 1 - i] for i in range(m)]
+    return grid.transpose(*axes, *range(m, grid.ndim)).reshape(table.shape)
 
 
 def _as_tuples(arr: np.ndarray) -> tuple:
@@ -378,7 +400,7 @@ def _mech_config_products(tables: Sequence[np.ndarray]) -> np.ndarray:
     """Joint mechanism-configuration probabilities per row.
 
     ``tables[b]`` has shape (..., n_rows, k_b) holding P(M_b = s | row) for
-    each state s; leading axes, such as the GA's population axis, broadcast.
+    each state s; leading axes, such as a batch of search starts, broadcast.
     Returns a (..., n_rows, prod k_b) array built by successive outer
     products, configurations indexed mixed-radix with mechanism 0 fastest.
     With no mechanisms (a root node) it is the (1, 1) array of the single

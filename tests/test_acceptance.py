@@ -1,11 +1,12 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one PASS line (visible with -s; under plain pytest the
-test's own pass/fail line is the record). GA-backed criteria use the
-default configuration (population 300, up to 2000 generations, mutation
-0.3, elitism 0.05, crossover 0.8, stall 50, 10 restarts) with fixed seeds;
-their thresholds carry the +0.02 stochastic allowance over the reference
-optima. Expect a few minutes of runtime, dominated by the SICI sweep.
+test's own pass/fail line is the record). The ICI and SICI criteria use the
+default search configuration (10 seeded batches of 300 random starts, each
+swept by coordinate descent until a sweep gains less than 1e-5) with fixed
+seeds; their thresholds carry the +0.02 stochastic allowance over the
+reference optima. Expect about half a minute of runtime, dominated by the
+brute-force SCM oracle.
 """
 
 import time
@@ -298,7 +299,7 @@ def test_c7f_evaluator_outputs_normalised(anxiety):
 
 
 def test_c7g_reproduce_is_seed_deterministic(tmp_path, capsys):
-    # byte-identical reports across two identically seeded runs; the GA
+    # byte-identical reports across two identically seeded runs; the search
     # budget is reduced via flags, the seed contract is what is under test
     runs = []
     for name in ("one", "two"):

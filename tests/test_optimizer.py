@@ -1,4 +1,4 @@
-"""Search machinery: enumerations, brute force, genetic algorithm."""
+"""Search machinery: enumerations, the SCM searches, ICI/SICI coordinate descent, the GA."""
 
 import math
 import time
@@ -351,7 +351,7 @@ class TestOptimizeSici:
         assert via_ici.best_spec.mech_cpts == via_sici.best_spec.mech_cpts
 
     def test_reported_score_equals_rescoring(self, anxiety):
-        # the GA's own einsum readout differs from re-scoring in the last bits
+        # the descent's own readout of P(Y=1) differs from re-scoring in the last bits
         config = GaConfig(population=40, max_generations=30, restarts=1, seed=0)
         for result in (
             optimize_ici(anxiety, config),
@@ -411,10 +411,138 @@ class TestOptimizeSici:
 
     def test_partial_partition_rejected_before_searching(self, anxiety, monkeypatch):
         def no_search(*args, **kwargs):
-            raise AssertionError("the GA ran on a partition that does not cover the parents")
+            raise AssertionError("a search ran on a partition that does not cover the parents")
 
-        monkeypatch.setattr(optimizer, "ga_optimize", no_search)
+        monkeypatch.setattr(optimizer, "_descend", no_search)
         config = GaConfig(population=10, restarts=1)
         for partition in (((1,),), ((0, 1), (2,))):
             with pytest.raises(ShapeMismatchError, match="cover exactly the parents"):
                 optimize_sici_partition(anxiety, partition, config)
+
+
+def _random_structure(rng):
+    """A random 2-3 parent binary-child truth, a random partition of its parents
+    and the descent's view of that structure."""
+    cards = tuple(int(c) for c in rng.integers(2, 4, size=int(rng.integers(2, 4))))
+    truth = random_cpt(rng, cards)
+    labels = rng.integers(0, len(cards), size=len(cards))
+    partition = tuple(tuple(np.flatnonzero(labels == g)) for g in np.unique(labels))
+    return truth, partition, optimizer._Structure.of(truth, partition)
+
+
+def _model_yes(truth, partition, mech, comb):
+    """P(Y=1) per row of one start's parameters, from the spec evaluator."""
+    spec = SiciSpec(partition, mech, combiner=comb.astype(int).tolist())
+    return us_sici_evaluate(truth.child, truth.parents, spec).rows[:, 1]
+
+
+def _check_consistent(truth, partition, starts):
+    """Each start's P(Y=1) is its model's, and its score is the sum of |P(Y=1) - t|."""
+    t = truth.rows[:, 1]
+    for s in range(len(starts.score)):
+        model = _model_yes(truth, partition, [m[s] for m in starts.mech], starts.comb[s])
+        assert np.abs(starts.p_yes[s] - model).max() <= 1e-12
+        assert starts.score[s] == pytest.approx(np.abs(model - t).sum(), abs=1e-12)
+    assert np.all(starts.comb[:, 0] == 0.0)
+
+
+class TestCoordinateDescent:
+    def test_block_step_attains_the_grid_minimum(self):
+        rng = np.random.default_rng(2024)
+        grid = np.linspace(0.0, 1.0, 10_001)
+        for _ in range(12):
+            truth, partition, structure = _random_structure(rng)
+            t = truth.rows[:, 1]
+            starts = optimizer._random_starts(structure, rng, 4)
+            for b, block in enumerate(structure.rows):
+                # P(Y=1) is affine in block b's parameters: read it at all-0 and all-1
+                oracle = []
+                for s in range(4):
+                    mech = [m[s].copy() for m in starts.mech]
+                    ends = []
+                    for value in (0.0, 1.0):
+                        mech[b][:] = value
+                        ends.append(_model_yes(truth, partition, mech, starts.comb[s]))
+                    slope = ends[1] - ends[0]
+                    total = 0.0
+                    for c in range(structure.sizes[b]):
+                        r = block == c
+                        fitted = ends[0][r] + grid[:, None] * slope[r]
+                        total += np.abs(fitted - t[r]).sum(axis=1).min()
+                    oracle.append(total)
+                optimizer._fit_block(structure, starts, b)
+                # the grid spacing bounds how far its minimum can sit above the exact one
+                slack = truth.n_rows * (grid[1] - grid[0]) / 2
+                assert np.all(starts.score <= np.array(oracle) + 1e-12)
+                assert np.all(starts.score >= np.array(oracle) - slack)
+                _check_consistent(truth, partition, starts)
+
+    def test_flip_step_never_raises_and_ends_without_an_improving_flip(self):
+        rng = np.random.default_rng(77)
+        for _ in range(12):
+            truth, partition, structure = _random_structure(rng)
+            t = truth.rows[:, 1]
+            starts = optimizer._random_starts(structure, rng, 6)
+            before = starts.score.copy()
+            evaluations = optimizer._flip_combiner(structure, starts)
+            assert np.all(starts.score <= before)
+            assert evaluations >= 6 * (starts.comb.shape[1] - 1)
+            _check_consistent(truth, partition, starts)
+            for s in range(6):
+                mech = [m[s] for m in starts.mech]
+                for j in range(1, starts.comb.shape[1]):
+                    flipped = starts.comb[s].copy()
+                    flipped[j] = 1.0 - flipped[j]
+                    score = np.abs(_model_yes(truth, partition, mech, flipped) - t).sum()
+                    assert score >= starts.score[s] - 1e-12
+
+    @pytest.mark.parametrize("parents", [(2, 3), (2, 2, 3)])
+    def test_best_score_never_rises_between_sweeps(self, parents):
+        truth = random_cpt(np.random.default_rng(5), parents)
+        singletons = tuple((i,) for i in range(len(parents)))
+        history = []
+        config = GaConfig(population=20, restarts=1, seed=3)
+        result = optimize_sici_partition(
+            truth, singletons, config, on_progress=lambda evals, best: history.append(best)
+        )
+        assert len(history) == result.generations_run >= 2
+        assert history == sorted(history, reverse=True)
+        # every sweep but the last lowers the best by at least the floor; the
+        # first that does not ends the batch
+        floor = optimizer._MIN_SWEEP_GAIN
+        assert all(later <= earlier - floor for earlier, later in zip(history, history[1:-1]))
+        assert history[-1] >= history[-2] - floor
+        assert result.best_score == pytest.approx(history[-1], abs=1e-12)
+
+    def test_gain_floor_cuts_the_converging_tail(self, monkeypatch):
+        # on this case the gains shrink geometrically: a strict-decrease rule
+        # sweeps 24 times for a score less than 1e-6 lower
+        truth = random_cpt(np.random.default_rng(2), (2, 3, 3))
+        singletons = ((0,), (1,), (2,))
+        config = GaConfig(population=100, restarts=1, seed=2)
+        floored = optimize_sici_partition(truth, singletons, config)
+        monkeypatch.setattr(optimizer, "_MIN_SWEEP_GAIN", 0.0)
+        strict = optimize_sici_partition(truth, singletons, config)
+        assert floored.generations_run * 2 < strict.generations_run
+        assert strict.best_score <= floored.best_score < strict.best_score + 1e-5
+
+    def test_sweep_cap_ends_each_batch(self):
+        truth = random_cpt(np.random.default_rng(6), (2, 2, 3))
+        config = GaConfig(population=20, max_generations=1, restarts=3, seed=1)
+        result = optimize_sici_partition(truth, ((0,), (1, 2)), config)
+        assert result.generations_run == 3
+
+    def test_same_seed_gives_bitwise_equal_specs(self, anxiety):
+        config = GaConfig(population=50, restarts=3, seed=11)
+        for search in (
+            lambda: optimize_ici(anxiety, config),
+            lambda: optimize_sici_partition(anxiety, ((0, 3), (1,), (2,)), config),
+        ):
+            a, b = search(), search()
+            assert a.best_spec == b.best_spec
+            assert a.best_score == b.best_score
+            assert (a.evaluations, a.seed_used, a.generations_run) == (
+                b.evaluations,
+                b.seed_used,
+                b.generations_run,
+            )

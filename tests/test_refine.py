@@ -510,6 +510,71 @@ class TestSici:
         via_pici = pici_evaluate(BIN, parents, mech, lower)
         assert np.abs(ds.rows - via_pici.rows).max() <= 1e-12
 
+    def test_blocks_given_out_of_order_keep_their_tables(self):
+        # the combiner reads the mechanism of block (1,), so P(Y=1 | x) is its table at x1
+        spec = SiciSpec(((1,), (0,)), ((0.2, 0.9), (0.1, 0.6)), combiner=(0, 1, 0, 1))
+        assert spec.parent_partition == ((0,), (1,))
+        assert spec.mech_cpts == ((0.1, 0.6), (0.2, 0.9))
+        assert spec.combiner == (0, 0, 1, 1)
+        cpt = us_sici_evaluate(BIN, binary_parents(2), spec)
+        assert np.abs(cpt.rows[:, 1] - [0.2, 0.2, 0.9, 0.9]).max() <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["combiner", "lower"])
+    def test_permuted_blocks_evaluate_as_the_canonical_spec(self, variant):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            cards = tuple(int(c) for c in rng.integers(2, 4, size=int(rng.integers(2, 5))))
+            truth = random_cpt(rng, cards)
+            partition = canonical_partition(
+                b for b in np.array_split(rng.permutation(len(cards)), int(rng.integers(2, 4)))
+                if b.size
+            )
+            # binary shorthand or an explicit k-state table per block
+            mech, mech_cards = [], []
+            for block in partition:
+                size = math.prod(cards[i] for i in block)
+                k = int(rng.integers(2, 4))
+                table = rng.random((size, k))
+                table /= table.sum(axis=1, keepdims=True)
+                binary = k == 2 and rng.random() < 0.5
+                mech.append(tuple(table[:, 1]) if binary else tuple(map(tuple, table)))
+                mech_cards.append(k)
+            configs = list(itertools.product(*(range(k) for k in reversed(mech_cards))))
+            if variant == "combiner":
+                table = [0, *rng.integers(0, 2, size=len(configs) - 1).tolist()]
+            else:
+                lower = rng.random((len(configs), 2))
+                table = [tuple(r) for r in lower / lower.sum(axis=1, keepdims=True)]
+            # given block g is canonical block perm[g]; re-index the table by hand
+            perm = rng.permutation(len(partition))
+            given = [0] * len(configs)
+            for j, digits in enumerate(configs):
+                state = digits[::-1]  # state[k]: canonical mechanism k
+                index, stride = 0, 1
+                for g in range(len(perm)):
+                    index += state[perm[g]] * stride
+                    stride *= mech_cards[perm[g]]
+                given[index] = table[j]
+            field = "combiner" if variant == "combiner" else "lower_cpt"
+            canonical = SiciSpec(partition, tuple(mech), **{field: tuple(table)})
+            permuted = SiciSpec(
+                tuple(partition[k][::-1] for k in perm),
+                tuple(mech[k] for k in perm),
+                **{field: tuple(given)},
+            )
+            assert permuted == canonical
+            assert np.array_equal(
+                evaluate_spec(truth, permuted).cpt.rows, evaluate_spec(truth, canonical).cpt.rows
+            )
+
+    def test_reference_spec_with_blocks_out_of_order_evaluates(self, anxiety):
+        # the spec of acceptance test c8, which lists {Hypertension} first
+        given = SiciSpec(((1,), (0, 2, 3)), ((0, 0), (0,) * 12), combiner=(0, 0, 0, 1))
+        result = evaluate_spec(anxiety, given)
+        assert result.free_params == 14
+        canonical = SiciSpec(((0, 2, 3), (1,)), ((0,) * 12, (0, 0)), combiner=(0, 0, 0, 1))
+        assert np.array_equal(result.cpt.rows, evaluate_spec(anxiety, canonical).cpt.rows)
+
     def test_requires_exactly_one_variant(self):
         with pytest.raises(ValidationError):
             SiciSpec(((0,),), ((0.5, 0.5),))
