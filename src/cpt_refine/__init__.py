@@ -47,9 +47,7 @@ from .refine import (
     default_binarization,
     divorce_best,
     divorce_groups,
-    ds_sici_evaluate,
     evaluate_spec,
-    ici_evaluate,
     noisy_average_lower,
     noisy_or,
     noisy_or_closed_form,
@@ -58,7 +56,7 @@ from .refine import (
     prune_best,
     prune_groups,
     scm_fit,
-    us_sici_evaluate,
+    sici_evaluate,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from .errors import SearchSpaceError, ShapeMismatchError, ValidationError
 from .io import (
     ReportRow,
     atomic_write_text,
-    check_report_consistency,
     load_cpt,
     report_csv_text,
     report_text,
@@ -185,7 +184,7 @@ def spec_summary(truth: Cpt, spec: RefinementSpec) -> str:
     if isinstance(spec, ScmSpec):
         size1 = sum(spec.assignment)
         return f"row bipartition {len(spec.assignment) - size1}|{size1}"
-    if isinstance(spec, IciSpec):
+    if isinstance(spec, IciSpec):  # before SiciSpec: every IciSpec is one
         yes = sum(spec.combiner)
         return f"per-parent mechanisms; combiner maps {yes}/{len(spec.combiner)} configs to state 1"
     if isinstance(spec, SiciSpec):
@@ -361,7 +360,6 @@ def cmd_reproduce(args) -> int:
                   spec_summary(truth, spec))
         for name, spec, res in named
     ]
-    check_report_consistency(rows, truth)
 
     atomic_write_text(out, report_csv_text(rows))
     side = out.with_name(out.stem + "_cpts.csv")

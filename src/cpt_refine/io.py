@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cpt import Cpt, Variable, config_table, param_count
+from .cpt import Cpt, Variable, config_table
 from .errors import ValidationError
 
 SCHEMA_FORMAT = 1
@@ -64,7 +64,8 @@ def load_cpt(path: str | Path) -> Cpt:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: the document must be a JSON object")
-    if doc.get("format") != SCHEMA_FORMAT:
+    # JSON true loads as Python True, which equals 1 and is an int
+    if isinstance(doc.get("format"), bool) or doc.get("format") != SCHEMA_FORMAT:
         raise ValidationError(f"{path}: unsupported format {doc.get('format')!r}")
     child = _parse_variable(doc.get("child", {}), "child")
     parents_doc = doc.get("parents", [])
@@ -110,7 +111,7 @@ def load_cpt(path: str | Path) -> Cpt:
                 f"{path}: row {k + 1} ({want}) has {len(probs)} probabilities, "
                 f"need {child.cardinality}"
             )
-        if not all(isinstance(p, (int, float)) for p in probs):
+        if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs):
             raise ValidationError(f"{path}: row {k + 1} ({want}) probabilities must be numbers")
         try:
             vec = np.asarray(probs, dtype=np.float64)
@@ -218,13 +219,3 @@ def side_by_side_csv_text(truth: Cpt, methods: Mapping[str, Cpt]) -> str:
             cells.extend(f"{p:.4f}" for p in cpt.rows[k])
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def check_report_consistency(rows: Sequence[ReportRow], truth: Cpt) -> None:
-    """Invariant: free + savings equals the full CPT's parameter count."""
-    full = param_count(truth.parent_cards, truth.child.cardinality)
-    for r in rows:
-        if r.free_params + r.savings != full:
-            raise ValidationError(
-                f"{r.method}: {r.free_params} + {r.savings} != {full} full parameters"
-            )

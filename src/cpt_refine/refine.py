@@ -14,16 +14,19 @@ The remaining two are causal-interaction models evaluated forward from a
 small set of mechanism parameters; their rows are generally all distinct and
 there is no closed-form fit (the optimizer module searches them):
 
-* ICI          - one stochastic binary mechanism per parent combined by a
+* ICI          - one stochastic mechanism per parent combined by a
                  deterministic function into the child (noisy-OR is the
                  classic special case).
 * SICI         - ICI generalised so blocks of parents share one mechanism.
                  The upper-stochastic (US) variant keeps a deterministic
                  combiner; the double-stochastic (DS) variant replaces it
                  with a stochastic lower table p(y | mechanisms). Mechanisms
-                 may have k states. PICI (noisy-average among them) is
-                 DS-SICI with singleton blocks, and ICI is US-SICI with
-                 singleton blocks: one ``SiciSpec`` describes the family.
+                 may have k states.
+
+One ``SiciSpec`` describes the whole family: ``IciSpec`` is its shorthand
+for singleton blocks with a combiner, and PICI (noisy-average among them) is
+DS-SICI with singleton blocks. One evaluator, ``sici_evaluate``, serves them
+all by reading a combiner f as its indicator lower table p(y | m) = [f(m) = y].
 """
 
 from __future__ import annotations
@@ -104,32 +107,6 @@ class ScmSpec:
 
 
 @dataclass(frozen=True)
-class IciSpec:
-    """One binary mechanism per parent plus a deterministic combiner.
-
-    ``mech_cpts[i][s]`` is P(mechanism_i = 1 | parent_i = s). ``combiner``
-    assigns a child state to each of the 2^n mechanism configurations,
-    indexed mixed-radix with mechanism 0 varying fastest.
-    """
-
-    mech_cpts: tuple[tuple[float, ...], ...]
-    combiner: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "mech_cpts", tuple(tuple(float(p) for p in v) for v in self.mech_cpts)
-        )
-        object.__setattr__(self, "combiner", tuple(int(y) for y in self.combiner))
-        for v in self.mech_cpts:
-            if any(not 0.0 <= p <= 1.0 for p in v):
-                raise ValidationError("mechanism probabilities must lie in [0, 1]")
-        if len(self.combiner) != 1 << len(self.mech_cpts):
-            raise ValidationError(
-                f"combiner must cover all {1 << len(self.mech_cpts)} mechanism configurations"
-            )
-
-
-@dataclass(frozen=True)
 class SiciSpec:
     """Blocks of parents share mechanisms, joined by a combiner or a lower table.
 
@@ -143,8 +120,9 @@ class SiciSpec:
     Exactly one of ``combiner`` (deterministic, the US variant) and
     ``lower_cpt`` (stochastic p(y | mechanisms), the DS variant) must be
     given; both are indexed over the prod k_b mechanism configurations,
-    mechanism 0 fastest. PICI, noisy-average included, is DS-SICI with every
-    parent in a block of its own.
+    mechanism 0 fastest. With every parent in a block of its own, a combiner
+    gives ICI (:class:`IciSpec`) and a lower table PICI, noisy-average
+    included.
 
     The blocks are stored in canonical order (see :func:`canonical_partition`);
     blocks given in another order take their mechanism tables with them, and
@@ -189,6 +167,21 @@ class SiciSpec:
         return [_binary_states(t) if t.ndim == 1 else t for t in tables]
 
 
+class IciSpec(SiciSpec):
+    """ICI: one mechanism per parent plus a deterministic combiner.
+
+    Shorthand for the :class:`SiciSpec` with every parent in a block of its
+    own. ``mech_cpts[i]`` is parent i's mechanism table (for a binary
+    mechanism, P(mechanism_i = 1 | parent_i = s) per state s) and
+    ``combiner`` assigns a child state to each mechanism configuration,
+    mechanism 0 fastest.
+    """
+
+    def __init__(self, mech_cpts: Sequence, combiner: Sequence[int]) -> None:
+        singletons = tuple((i,) for i in range(len(mech_cpts)))
+        super().__init__(singletons, mech_cpts, combiner=combiner)
+
+
 def _prob_table(table, what: str) -> np.ndarray:
     """A 1-D or 2-D table of probabilities; each row of a 2-D table is a distribution."""
     try:
@@ -226,7 +219,7 @@ def _binary_states(p1: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - p1, p1], axis=-1)
 
 
-RefinementSpec = PruneSpec | DivorceSpec | ScmSpec | IciSpec | SiciSpec
+RefinementSpec = PruneSpec | DivorceSpec | ScmSpec | SiciSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,8 +298,12 @@ def default_binarization(
     overrides: dict[int, Sequence[int]] | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Binarization tuple for a divorce spec: state 1 maps to gate input 1
-    for binary parents unless overridden; wider parents must be overridden."""
+    for binary parents unless overridden; wider parents must be overridden.
+    An override for a parent that is not divorced is an error."""
     overrides = overrides or {}
+    for i in overrides:
+        if i not in divorced:
+            raise ValidationError(f"binarization given for parent {i}, which is not divorced")
     out = []
     for i in divorced:
         if i in overrides:
@@ -415,20 +412,6 @@ def _mech_config_products(tables: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def ici_evaluate(child: Variable, parents: Sequence[Variable], spec: IciSpec) -> Cpt:
-    """Forward-evaluate an ICI model into a full-shape CPT.
-
-    p(y | x) = sum over mechanism configurations m with f(m) = y of
-    prod_i P(m_i | x_i). ICI is US-SICI with every parent in a block of its
-    own, and is evaluated as such.
-    """
-    parents = tuple(parents)
-    if len(spec.mech_cpts) != len(parents):
-        raise ShapeMismatchError("need one mechanism table per parent")
-    singletons = tuple((i,) for i in range(len(parents)))
-    return us_sici_evaluate(child, parents, SiciSpec(singletons, spec.mech_cpts, spec.combiner))
-
-
 def noisy_or(inhibition: Sequence[float]) -> IciSpec:
     """Classic noisy-OR as an ICI spec over binary parents.
 
@@ -474,7 +457,7 @@ def pici_evaluate(
     if len(mech_cpts) != len(parents):
         raise ShapeMismatchError("need one mechanism table per parent")
     singletons = tuple((i,) for i in range(len(parents)))
-    return ds_sici_evaluate(child, parents, SiciSpec(singletons, mech_cpts, lower_cpt=lower_cpt))
+    return sici_evaluate(child, parents, SiciSpec(singletons, mech_cpts, lower_cpt=lower_cpt))
 
 
 def noisy_average_lower(n_mechs: int, card: int) -> np.ndarray:
@@ -535,36 +518,24 @@ def _sici_joint(spec: SiciSpec, parents: Sequence[Variable]) -> np.ndarray:
     return _mech_joint(tables, _block_rows(cards, spec.parent_partition))
 
 
-def us_sici_evaluate(child: Variable, parents: Sequence[Variable], spec: SiciSpec) -> Cpt:
-    """Forward-evaluate an upper-stochastic SICI model.
+def sici_evaluate(child: Variable, parents: Sequence[Variable], spec: SiciSpec) -> Cpt:
+    """Forward-evaluate a causal-interaction model (ICI, US/DS-SICI, PICI).
 
-    p(y | x) = sum over mechanism configurations m with f(m) = y of
-    prod_b P(m_b | x's configuration within block b).
+    p(y | x) = sum over mechanism configurations m of
+    p(y | m) * prod_b P(m_b | x's configuration within block b). A
+    deterministic combiner f is read as its indicator lower table
+    p(y | m) = [f(m) = y].
     """
-    _require_binary(child)
-    if spec.combiner is None:
-        raise ValidationError("US variant needs a combiner; this spec has a lower table")
-    if any(not 0 <= y < child.cardinality for y in spec.combiner):
-        raise ValidationError("combiner assigns an unknown child state")
-    joint = _sici_joint(spec, parents)
-    comb = np.asarray(spec.combiner)
-    rows = np.stack([joint[:, comb == y].sum(axis=1) for y in range(child.cardinality)], axis=1)
-    return Cpt(child, tuple(parents), rows)
-
-
-def ds_sici_evaluate(child: Variable, parents: Sequence[Variable], spec: SiciSpec) -> Cpt:
-    """Forward-evaluate a double-stochastic SICI model.
-
-    p(y | x) = sum over all mechanism configurations m of
-    p(y | m) * prod_b P(m_b | x's configuration within block b).
-    """
-    if spec.lower_cpt is None:
-        raise ValidationError("DS variant needs a lower table; this spec has a combiner")
-    lower = np.array(spec.lower_cpt)
-    if lower.shape[1] != child.cardinality:
-        raise ShapeMismatchError("lower table needs one column per child state")
-    joint = _sici_joint(spec, parents)
-    return Cpt(child, tuple(parents), joint @ lower)
+    if spec.combiner is not None:
+        _require_binary(child)
+        if any(not 0 <= y < child.cardinality for y in spec.combiner):
+            raise ValidationError("combiner assigns an unknown child state")
+        lower = np.eye(child.cardinality)[list(spec.combiner)]
+    else:
+        lower = np.array(spec.lower_cpt)
+        if lower.shape[1] != child.cardinality:
+            raise ShapeMismatchError("lower table needs one column per child state")
+    return Cpt(child, tuple(parents), _sici_joint(spec, parents) @ lower)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +562,6 @@ def param_savings(
         free = 2 * math.prod(remaining) * (child_card - 1)
     elif isinstance(spec, ScmSpec):
         free = 2 * (child_card - 1)
-    elif isinstance(spec, IciSpec):
-        free = sum(cards)
     elif isinstance(spec, SiciSpec):
         mech_cards = [t.shape[1] for t in spec.state_tables()]
         free = sum(
@@ -620,12 +589,8 @@ def evaluate_spec(truth: Cpt, spec: RefinementSpec) -> ApproxResult:
         approx, score = _fit_and_score(truth, divorce_groups(cards, spec))
     elif isinstance(spec, ScmSpec):
         return scm_fit(truth, spec)
-    elif isinstance(spec, IciSpec):
-        approx = ici_evaluate(truth.child, truth.parents, spec)
-        score = score_sum_tvd(truth, approx)
     elif isinstance(spec, SiciSpec):
-        evaluate = us_sici_evaluate if spec.combiner is not None else ds_sici_evaluate
-        approx = evaluate(truth.child, truth.parents, spec)
+        approx = sici_evaluate(truth.child, truth.parents, spec)
         score = score_sum_tvd(truth, approx)
     else:
         raise ValidationError(f"unknown spec type {type(spec).__name__}")

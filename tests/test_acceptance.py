@@ -20,10 +20,8 @@ from cpt_refine import (
     SiciSpec,
     Variable,
     divorce_best,
-    ds_sici_evaluate,
     enumerate_bipartitions,
     enumerate_set_partitions,
-    ici_evaluate,
     median_lad,
     noisy_or,
     noisy_or_closed_form,
@@ -34,7 +32,7 @@ from cpt_refine import (
     prune_best,
     prune_groups,
     scm_bruteforce,
-    us_sici_evaluate,
+    sici_evaluate,
 )
 from cpt_refine.cli import main
 from cpt_refine.cpt import expand_grouped, fit_grouping
@@ -169,7 +167,7 @@ def test_c7a_noisy_or_closed_form_equals_enumeration():
         n = int(rng.integers(1, 7))
         probs = rng.random(n)
         parents = _bin_parents(n)
-        enum = ici_evaluate(BIN, parents, noisy_or(probs))
+        enum = sici_evaluate(BIN, parents, noisy_or(probs))
         closed = noisy_or_closed_form(BIN, parents, probs)
         worst = max(worst, float(np.abs(enum.rows - closed.rows).max()))
     assert worst <= 1e-12
@@ -194,8 +192,8 @@ def test_c7b_singleton_us_sici_equals_ici():
         )
         mech = tuple(tuple(rng.random(c)) for c in cards)
         combiner = (0, *rng.integers(0, 2, size=(1 << len(cards)) - 1).tolist())
-        ici = ici_evaluate(BIN, parents, IciSpec(mech, combiner))
-        sici = us_sici_evaluate(
+        ici = sici_evaluate(BIN, parents, IciSpec(mech, combiner))
+        sici = sici_evaluate(
             BIN,
             parents,
             SiciSpec(tuple((i,) for i in range(len(cards))), mech, combiner=combiner),
@@ -221,8 +219,8 @@ def test_c7c_indicator_lower_reductions():
         combiner = (0, *rng.integers(0, 2, size=(1 << m) - 1).tolist())
         lower = np.zeros((1 << m, 2))
         lower[np.arange(1 << m), combiner] = 1.0
-        us = us_sici_evaluate(BIN, parents, SiciSpec(partition, mech, combiner=combiner))
-        ds = ds_sici_evaluate(
+        us = sici_evaluate(BIN, parents, SiciSpec(partition, mech, combiner=combiner))
+        ds = sici_evaluate(
             BIN, parents, SiciSpec(partition, mech, lower_cpt=tuple(map(tuple, lower)))
         )
         worst_ds = max(worst_ds, float(np.abs(us.rows - ds.rows).max()))
@@ -231,7 +229,7 @@ def test_c7c_indicator_lower_reductions():
         combiner_n = (0, *rng.integers(0, 2, size=(1 << n) - 1).tolist())
         lower_n = np.zeros((1 << n, 2))
         lower_n[np.arange(1 << n), combiner_n] = 1.0
-        ici = ici_evaluate(BIN, parents, IciSpec(mech_flat, combiner_n))
+        ici = sici_evaluate(BIN, parents, IciSpec(mech_flat, combiner_n))
         pici = pici_evaluate(BIN, parents, mech_flat, lower_n)
         worst_pici = max(worst_pici, float(np.abs(ici.rows - pici.rows).max()))
     assert worst_ds <= 1e-12
@@ -271,7 +269,7 @@ def test_c7f_evaluator_outputs_normalised(anxiety):
         )
         mech = tuple(tuple(rng.random(c)) for c in cards)
         combiner = (0, *rng.integers(0, 2, size=(1 << n) - 1).tolist())
-        cpt = ici_evaluate(BIN, parents, IciSpec(mech, combiner))
+        cpt = sici_evaluate(BIN, parents, IciSpec(mech, combiner))
         worst = max(worst, float(np.abs(cpt.rows.sum(axis=1) - 1.0).max()))
 
         partition = _random_partition(rng, n)
@@ -281,12 +279,12 @@ def test_c7f_evaluator_outputs_normalised(anxiety):
         )
         m = len(partition)
         comb_b = (0, *rng.integers(0, 2, size=(1 << m) - 1).tolist())
-        cpt = us_sici_evaluate(BIN, parents, SiciSpec(partition, mech_b, combiner=comb_b))
+        cpt = sici_evaluate(BIN, parents, SiciSpec(partition, mech_b, combiner=comb_b))
         worst = max(worst, float(np.abs(cpt.rows.sum(axis=1) - 1.0).max()))
 
         lower = rng.random((1 << m, 2))
         lower /= lower.sum(axis=1, keepdims=True)
-        cpt = ds_sici_evaluate(
+        cpt = sici_evaluate(
             BIN, parents, SiciSpec(partition, mech_b, lower_cpt=tuple(map(tuple, lower)))
         )
         worst = max(worst, float(np.abs(cpt.rows.sum(axis=1) - 1.0).max()))

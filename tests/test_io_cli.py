@@ -189,10 +189,13 @@ class TestScoreCommand:
             _anxiety_with(lambda doc: doc["rows"][0].update(probs=[10**400, 0.037])),
             '{"format": 1' + "0" * 5000 + "}",
             _anxiety_with(lambda doc: doc["parents"][1].update(name="Depression")),
+            _anxiety_with(lambda doc: doc["rows"][0].update(probs=[True, False])),
+            _anxiety_with(lambda doc: doc.update(format=True)),
         ],
         ids=["empty-object", "nan-probability", "list-document", "non-object-row",
              "string-probabilities", "non-list-parents", "non-list-rows",
-             "huge-integer-probability", "huge-integer-literal", "duplicate-parent-names"],
+             "huge-integer-probability", "huge-integer-literal", "duplicate-parent-names",
+             "boolean-probabilities", "boolean-format"],
     )
     def test_validation_failure_exits_2(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -290,6 +293,15 @@ class TestMethodCommands:
         )
         assert code == 2
         assert "gate input 1" in err
+
+    def test_divorce_rejects_map_for_parent_not_divorced(self, capsys):
+        code, _, err = _run(
+            capsys,
+            ["divorce", str(fixture_path("anxiety")), "--parents", "Depression,Sex",
+             "--map", "SleepDuration=>9hours"],
+        )
+        assert code == 2
+        assert "parent 3" in err and "not divorced" in err
 
     def test_scm_on_small_document(self, capsys, tmp_path):
         rng = np.random.default_rng(41)

@@ -19,7 +19,6 @@ from cpt_refine import (
     enumerate_set_partitions,
     evaluate_spec,
     ga_optimize,
-    ici_evaluate,
     noisy_or,
     optimize_ici,
     optimize_sici,
@@ -27,7 +26,7 @@ from cpt_refine import (
     scm_bruteforce,
     scm_exact,
     scm_fit,
-    us_sici_evaluate,
+    sici_evaluate,
 )
 from cpt_refine import optimizer
 from cpt_refine.errors import SearchSpaceError, ShapeMismatchError, ValidationError
@@ -320,7 +319,7 @@ class TestOptimizeIci:
         assert abs(result.best_score - oracle) <= 5e-3
 
     def test_recovers_realizable_noisy_or(self):
-        truth = ici_evaluate(BIN, _bin_parents(3), noisy_or([0.3, 0.5, 0.2]))
+        truth = sici_evaluate(BIN, _bin_parents(3), noisy_or([0.3, 0.5, 0.2]))
         result = optimize_ici(truth, GaConfig(seed=0))
         assert result.best_score <= 1e-3
 
@@ -373,7 +372,7 @@ class TestOptimizeSici:
             ((0.05, 0.4, 0.7, 0.95), (0.2, 0.9)),
             combiner=(0, 1, 1, 1),
         )
-        truth = us_sici_evaluate(BIN, parents, spec)
+        truth = sici_evaluate(BIN, parents, spec)
         result = optimize_sici_partition(truth, partition, GaConfig(seed=0))
         assert result.best_score <= 1e-3
 
@@ -433,7 +432,7 @@ def _random_structure(rng):
 def _model_yes(truth, partition, mech, comb):
     """P(Y=1) per row of one start's parameters, from the spec evaluator."""
     spec = SiciSpec(partition, mech, combiner=comb.astype(int).tolist())
-    return us_sici_evaluate(truth.child, truth.parents, spec).rows[:, 1]
+    return sici_evaluate(truth.child, truth.parents, spec).rows[:, 1]
 
 
 def _check_consistent(truth, partition, starts):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import statistics
 
 import numpy as np
@@ -19,11 +20,9 @@ from cpt_refine import (
     Variable,
     divorce_best,
     divorce_groups,
-    ds_sici_evaluate,
     evaluate_spec,
     expand_grouped,
     fit_grouping,
-    ici_evaluate,
     noisy_average_lower,
     noisy_or,
     noisy_or_closed_form,
@@ -34,7 +33,7 @@ from cpt_refine import (
     prune_groups,
     scm_fit,
     score_sum_tvd,
-    us_sici_evaluate,
+    sici_evaluate,
 )
 from cpt_refine.cpt import config_table
 from cpt_refine.refine import _mech_config_products, canonical_partition
@@ -287,11 +286,11 @@ class TestScmFit:
 
 class TestIciEvaluate:
     def test_no_inhibition_forces_child_on(self):
-        cpt = ici_evaluate(BIN, binary_parents(3), noisy_or([0.0, 0.0, 0.0]))
+        cpt = sici_evaluate(BIN, binary_parents(3), noisy_or([0.0, 0.0, 0.0]))
         assert cpt.rows[-1, 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_two_cause_product(self):
-        cpt = ici_evaluate(BIN, binary_parents(2), noisy_or([0.2, 0.5]))
+        cpt = sici_evaluate(BIN, binary_parents(2), noisy_or([0.2, 0.5]))
         assert cpt.rows[3, 0] == pytest.approx(0.10, abs=1e-12)
 
     def test_uniform_mechanisms_give_block_mass(self):
@@ -299,7 +298,7 @@ class TestIciEvaluate:
         # is the number of configurations the combiner maps to state 0
         mech = ((0.5, 0.5), (0.5, 0.5), (0.5, 0.5))
         combiner = (0, 0, 0, 1, 1, 1, 1, 1)
-        cpt = ici_evaluate(BIN, binary_parents(3), IciSpec(mech, combiner))
+        cpt = sici_evaluate(BIN, binary_parents(3), IciSpec(mech, combiner))
         assert np.allclose(cpt.rows[:, 0], 3 / 8)
 
     def test_rejects_partial_combiner(self):
@@ -309,20 +308,20 @@ class TestIciEvaluate:
     def test_rejects_wide_child(self):
         wide = Variable("Y", ("a", "b", "c"))
         with pytest.raises(ValidationError):
-            ici_evaluate(wide, binary_parents(2), noisy_or([0.1, 0.2]))
+            sici_evaluate(wide, binary_parents(2), noisy_or([0.1, 0.2]))
 
 
 class TestNoisyOr:
     def test_zero_inhibition_is_deterministic_or(self):
-        cpt = ici_evaluate(BIN, binary_parents(2), noisy_or([0.0, 0.0]))
+        cpt = sici_evaluate(BIN, binary_parents(2), noisy_or([0.0, 0.0]))
         assert np.allclose(cpt.rows, [[1, 0], [0, 1], [0, 1], [0, 1]])
 
     def test_total_inhibition_pins_child_off(self):
-        cpt = ici_evaluate(BIN, binary_parents(2), noisy_or([1.0, 1.0]))
+        cpt = sici_evaluate(BIN, binary_parents(2), noisy_or([1.0, 1.0]))
         assert np.allclose(cpt.rows[:, 0], 1.0)
 
     def test_three_cause_product(self):
-        cpt = ici_evaluate(BIN, binary_parents(3), noisy_or([0.1, 0.2, 0.3]))
+        cpt = sici_evaluate(BIN, binary_parents(3), noisy_or([0.1, 0.2, 0.3]))
         assert cpt.rows[-1, 0] == pytest.approx(0.006, abs=1e-12)
 
     @settings(max_examples=100)
@@ -333,7 +332,7 @@ class TestNoisyOr:
     )
     def test_closed_form_equals_enumeration(self, probs):
         parents = binary_parents(len(probs))
-        via_enum = ici_evaluate(BIN, parents, noisy_or(probs))
+        via_enum = sici_evaluate(BIN, parents, noisy_or(probs))
         via_product = noisy_or_closed_form(BIN, parents, probs)
         assert np.abs(via_enum.rows - via_product.rows).max() <= 1e-12
 
@@ -374,7 +373,7 @@ class TestPici:
         lower = np.zeros((4, 2))
         lower[np.arange(4), list(spec.combiner)] = 1.0
         via_pici = pici_evaluate(BIN, parents, spec.mech_cpts, lower)
-        via_ici = ici_evaluate(BIN, parents, spec)
+        via_ici = sici_evaluate(BIN, parents, spec)
         assert np.abs(via_pici.rows - via_ici.rows).max() <= 1e-12
 
     def test_root_node_takes_the_lower_row(self):
@@ -442,7 +441,7 @@ class TestPici:
                 states.append(rows)
         lower = rng.random((math.prod(mech_cards), child_card))
         lower /= lower.sum(axis=1, keepdims=True)
-        cpt = ds_sici_evaluate(child, parents, SiciSpec(partition, mech, lower_cpt=lower))
+        cpt = sici_evaluate(child, parents, SiciSpec(partition, mech, lower_cpt=lower))
         if len(partition) == n:
             assert np.array_equal(pici_evaluate(child, parents, mech, lower).rows, cpt.rows)
         for k, x in enumerate(config_table(cards)):
@@ -469,34 +468,43 @@ class TestSici:
             Variable(f"X{i}", tuple(f"s{j}" for j in range(c))) for i, c in enumerate(cards)
         )
         ici_spec = _random_ici_spec(rng, cards)
+        assert isinstance(ici_spec, SiciSpec)
+        assert ici_spec.parent_partition == ((0,), (1,), (2,))
+        restored = pickle.loads(pickle.dumps(ici_spec))
+        assert type(restored) is IciSpec and restored == ici_spec
         sici_spec = SiciSpec(
             tuple((i,) for i in range(3)), ici_spec.mech_cpts, combiner=ici_spec.combiner
         )
-        a = us_sici_evaluate(BIN, parents, sici_spec)
-        b = ici_evaluate(BIN, parents, ici_spec)
-        assert np.abs(a.rows - b.rows).max() <= 1e-12
+        a = sici_evaluate(BIN, parents, sici_spec)
+        b = sici_evaluate(BIN, parents, ici_spec)
+        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(sici_evaluate(BIN, parents, restored).rows, b.rows)
 
     def test_single_block_is_stochastic_relabeling(self):
         rng = np.random.default_rng(10)
         parents = binary_parents(2)
         table = tuple(rng.random(4))
         spec = SiciSpec(((0, 1),), (table,), combiner=(0, 1))
-        cpt = us_sici_evaluate(BIN, parents, spec)
+        cpt = sici_evaluate(BIN, parents, spec)
         assert np.allclose(cpt.rows[:, 1], table)
 
     def test_indicator_lower_reduces_to_us(self):
         rng = np.random.default_rng(12)
-        parents = binary_parents(3)
-        partition = ((0, 2), (1,))
-        mech = (tuple(rng.random(4)), tuple(rng.random(2)))
-        combiner = (0, 1, 1, 0)
-        lower = np.zeros((4, 2))
-        lower[np.arange(4), combiner] = 1.0
-        us = us_sici_evaluate(BIN, parents, SiciSpec(partition, mech, combiner=combiner))
-        ds = ds_sici_evaluate(
-            BIN, parents, SiciSpec(partition, mech, lower_cpt=tuple(map(tuple, lower)))
-        )
-        assert np.abs(us.rows - ds.rows).max() <= 1e-12
+        # 4 and 16 mechanism configurations: summing only the combiner's columns
+        # would differ from the full sum in the last bit on the second
+        for n_parents, partition in [(3, ((0, 2), (1,))), (5, ((0, 2), (1,), (3,), (4,)))]:
+            parents = binary_parents(n_parents)
+            mech = tuple(tuple(rng.random(1 << len(b))) for b in partition)
+            n_configs = 1 << len(partition)
+            combiner = (0, *rng.integers(0, 2, size=n_configs - 1).tolist())
+            lower = np.zeros((n_configs, 2))
+            lower[np.arange(n_configs), combiner] = 1.0
+            us = sici_evaluate(BIN, parents, SiciSpec(partition, mech, combiner=combiner))
+            ds = sici_evaluate(
+                BIN, parents, SiciSpec(partition, mech, lower_cpt=tuple(map(tuple, lower)))
+            )
+            # a combiner is read as its indicator lower table, so the two agree bitwise
+            assert np.array_equal(us.rows, ds.rows)
 
     def test_all_singletons_with_lower_equals_pici(self):
         rng = np.random.default_rng(13)
@@ -504,7 +512,7 @@ class TestSici:
         mech = (tuple(rng.random(2)), tuple(rng.random(2)))
         lower = rng.random((4, 2))
         lower /= lower.sum(axis=1, keepdims=True)
-        ds = ds_sici_evaluate(
+        ds = sici_evaluate(
             BIN, parents, SiciSpec(((0,), (1,)), mech, lower_cpt=tuple(map(tuple, lower)))
         )
         via_pici = pici_evaluate(BIN, parents, mech, lower)
@@ -516,7 +524,7 @@ class TestSici:
         assert spec.parent_partition == ((0,), (1,))
         assert spec.mech_cpts == ((0.1, 0.6), (0.2, 0.9))
         assert spec.combiner == (0, 0, 1, 1)
-        cpt = us_sici_evaluate(BIN, binary_parents(2), spec)
+        cpt = sici_evaluate(BIN, binary_parents(2), spec)
         assert np.abs(cpt.rows[:, 1] - [0.2, 0.2, 0.9, 0.9]).max() <= 1e-12
 
     @pytest.mark.parametrize("variant", ["combiner", "lower"])
@@ -582,7 +590,7 @@ class TestSici:
     def test_blocks_must_cover_parents(self):
         spec = SiciSpec(((0,),), ((0.5, 0.5),), combiner=(0, 1))
         with pytest.raises(ShapeMismatchError):
-            us_sici_evaluate(BIN, binary_parents(2), spec)
+            sici_evaluate(BIN, binary_parents(2), spec)
 
     NOT_DISTRIBUTIONS = [
         (1.5, -0.5), (1.2, -0.2), (0.5, 0.9), (float("nan"), 1.0), (0.5, 0.5 + 2e-9)
@@ -619,7 +627,7 @@ class TestSici:
         partition = ((0, 2), (1,))
         mech = (tuple(rng.random(4)), tuple(rng.random(3)))
         combiner = (0, *rng.integers(0, 2, size=3).tolist())
-        cpt = us_sici_evaluate(BIN, parents, SiciSpec(partition, mech, combiner=combiner))
+        cpt = sici_evaluate(BIN, parents, SiciSpec(partition, mech, combiner=combiner))
         assert np.abs(cpt.rows.sum(axis=1) - 1.0).max() <= 1e-9
 
 
