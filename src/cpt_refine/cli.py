@@ -281,7 +281,7 @@ def cmd_divorce(args) -> int:
     else:
         divorced = tuple(_parent_index(truth, n.strip()) for n in args.parents.split(","))
         overrides = _parse_state_map(truth, args.map)
-        binarization = default_binarization(truth.parent_cards, divorced, overrides)
+        binarization = default_binarization(truth.parents, divorced, overrides)
         spec = DivorceSpec(divorced, args.gate or "AND", binarization)
         result = evaluate_spec(truth, spec)
     _emit_result(truth, spec, result, args.out)

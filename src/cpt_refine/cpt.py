@@ -242,12 +242,26 @@ def fit_grouping(truth: Cpt, labels: np.ndarray | Sequence[int]) -> Grouping:
     order = np.lexsort((rows, np.broadcast_to(inverse[:, None], rows.shape)), axis=0)
     ranked = np.take_along_axis(rows, order, axis=0)
     start = np.cumsum(counts) - counts
-    params = (ranked[start + (counts - 1) // 2] + ranked[start + counts // 2]) / 2
-    sums = params.sum(axis=1, keepdims=True)
-    if np.any(sums <= 0):
-        raise ValidationError(f"group {int(np.argmin(sums))} has all-zero medians")
-    params = np.where(np.abs(sums - 1.0) > _RENORM_EPS, params / sums, params)
-    return Grouping(inverse, params)
+    lo, hi = ranked[start + (counts - 1) // 2], ranked[start + counts // 2]
+    return Grouping(inverse, _median_pair_params(lo, hi))
+
+
+def _median_pair_params(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Shared distributions from each group's median pair.
+
+    ``lo`` and ``hi`` hold, per group and child state, the two central order
+    statistics of the member rows' probabilities (equal for an odd count),
+    shape (..., n_groups, child_card), where leading axes may hold a batch of
+    candidate groupings. Their midpoint is the per-state median,
+    renormalised where it does not sum to 1. A group whose medians are all
+    zero is an error, naming the first such group in C order.
+    """
+    params = (lo + hi) / 2
+    sums = params.sum(axis=-1, keepdims=True)
+    zero = sums[..., 0] <= 0
+    if np.any(zero):
+        raise ValidationError(f"group {int(np.argmax(zero)) % zero.shape[-1]} has all-zero medians")
+    return np.where(np.abs(sums - 1.0) > _RENORM_EPS, params / sums, params)
 
 
 def expand_grouped(template: Cpt, grouping: Grouping) -> Cpt:

@@ -10,6 +10,11 @@ Each grouping is an integer label per row (rows with equal labels share):
 * SCM          - a single deterministic intermediate node over all parents;
                  any bipartition of the rows is admissible.
 
+``prune_best`` and ``divorce_best`` search the first two exhaustively. The
+divorce search scores all (gate, binarization) candidates of one parent
+subset together, reading every group's median from one sort of the truth,
+and only its winner is expanded into a CPT.
+
 The remaining two are causal-interaction models evaluated forward from a
 small set of mechanism parameters; their rows are generally all distinct and
 there is no closed-form fit (the optimizer module searches them):
@@ -41,6 +46,7 @@ import numpy as np
 from .cpt import (
     Cpt,
     Variable,
+    _median_pair_params,
     config_table,
     expand_grouped,
     fit_grouping,
@@ -293,34 +299,38 @@ def divorce_groups(parent_cards: Sequence[int], spec: DivorceSpec) -> np.ndarray
 
 
 def default_binarization(
-    parent_cards: Sequence[int],
+    parents: Sequence[Variable],
     divorced: Sequence[int],
     overrides: dict[int, Sequence[int]] | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Binarization tuple for a divorce spec: state 1 maps to gate input 1
     for binary parents unless overridden; wider parents must be overridden.
-    An override for a parent that is not divorced is an error."""
+    An override for a parent that is not divorced is an error. Errors name
+    the parent."""
     overrides = overrides or {}
     for i in overrides:
         if i not in divorced:
-            raise ValidationError(f"binarization given for parent {i}, which is not divorced")
+            raise ValidationError(
+                f"binarization given for parent {parents[i].name}, which is not divorced"
+            )
     out = []
     for i in divorced:
         if i in overrides:
             out.append(tuple(sorted(int(s) for s in overrides[i])))
-        elif parent_cards[i] == 2:
+        elif parents[i].cardinality == 2:
             out.append((1,))
         else:
             raise ValidationError(
-                f"parent {i} has {parent_cards[i]} states; choose which map to gate input 1"
+                f"parent {parents[i].name} has {parents[i].cardinality} states; "
+                "choose which map to gate input 1"
             )
     return tuple(out)
 
 
-def _proper_subsets(card: int):
-    """Proper nonempty subsets of range(card), smallest first, lexicographic."""
-    for size in range(1, card):
-        yield from itertools.combinations(range(card), size)
+def _binarizations(card: int) -> list[tuple[int, ...]]:
+    """A parent's binarizations in search order: the proper nonempty subsets of
+    range(card), smallest first, lexicographic."""
+    return [b for size in range(1, card) for b in itertools.combinations(range(card), size)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,28 +358,118 @@ def prune_best(truth: Cpt) -> tuple[PruneSpec, ApproxResult]:
 
 
 def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxResult]:
-    """Exhaustive search over divorces of ``block_size`` parents.
+    """Exhaustive search over divorces of ``block_size`` parents (2 up to all of them).
 
     Searches every parent subset of that size, every gate, and every proper
-    binarization of each divorced parent. Ties break lexicographically on
-    (parent subset, gate, binarization) because subsets, gates and subsets
-    of states are iterated in sorted order and only strict improvements are
-    kept.
+    binarization of each divorced parent. All candidates of one subset are
+    scored at once by :func:`_divorce_subset_scores`. Ties break
+    lexicographically on (parent subset, gate, binarization): subsets, gates
+    and subsets of states are taken in sorted order and only strict
+    improvements are kept. Only the winner is expanded into a CPT.
     """
     n = len(truth.parents)
-    if not 2 <= block_size < n:
-        raise ValidationError(f"block size must be in [2, {n - 1}], got {block_size}")
+    if not 2 <= block_size <= n:
+        raise ValidationError(f"block size must be in [2, {n}], got {block_size}")
     cards = truth.parent_cards
-    best: tuple[DivorceSpec, ApproxResult] | None = None
+    best: tuple[float, tuple[int, ...], int] | None = None
     for subset in itertools.combinations(range(n), block_size):
-        for gate in GATES:
-            for binar in itertools.product(*(_proper_subsets(cards[i]) for i in subset)):
-                spec = DivorceSpec(subset, gate, binar)
-                approx, score = _fit_and_score(truth, divorce_groups(cards, spec))
-                if best is None or score < best[1].score:
-                    free, _ = param_savings(spec, cards, truth.child.cardinality)
-                    best = (spec, ApproxResult(approx, score, free))
-    return best
+        scores = _divorce_subset_scores(truth, subset)
+        c = int(np.argmin(scores))
+        if best is None or scores[c] < best[0]:
+            best = (scores[c], subset, c)
+    _, subset, c = best
+    choices = [_binarizations(cards[i]) for i in subset]
+    gate, *picks = np.unravel_index(c, (len(GATES), *map(len, choices)))
+    spec = DivorceSpec(subset, GATES[gate], [ch[j] for ch, j in zip(choices, picks)])
+    approx, score = _fit_and_score(truth, divorce_groups(cards, spec))
+    free, _ = param_savings(spec, cards, truth.child.cardinality)
+    return spec, ApproxResult(approx, score, free)
+
+
+# Candidates of one subset are scored in chunks of at most this many
+# (candidate, row, child state) elements, which bounds each working array to
+# 64 KiB whatever the subset's candidate count. That stays under the size at
+# which glibc's malloc maps fresh pages for a block (128 KiB by default), so
+# every chunk reuses heap memory. At 2^15 elements the divorce search of a
+# 200-row table with a 3-state child took about 2000 minor page faults per
+# call, 10-15% of its time spent in the kernel zeroing pages; at 2^13 it takes
+# none, at about the same speed.
+_DIVORCE_CHUNK_ELEMENTS = 1 << 13
+
+
+def _divorce_subset_scores(truth: Cpt, subset: tuple[int, ...]) -> np.ndarray:
+    """Sum-TVD of every divorce of ``subset``, bitwise equal to fitting each alone.
+
+    Candidates are in search order: gate outermost, then the binarizations
+    of ``itertools.product`` over :func:`_binarizations` of each divorced
+    parent. The truth is laid out as (subset configuration, remaining-parent
+    configuration, state) and sorted once along the subset axis. A
+    candidate's gate output per subset configuration then marks which sorted
+    entries belong to each (remaining configuration, gate value) group, and
+    a group's median pair is read at the sorted positions where the running
+    member count reaches the group's central ranks. The medians become
+    distributions by the same step as :func:`fit_grouping`, and the score
+    sums the (rows, states) differences in canonical row order, as
+    :func:`score_sum_tvd` does.
+    """
+    cards = truth.parent_cards
+    n_rows, k = truth.rows.shape
+    states = config_table(cards)
+    remaining = [i for i in range(len(cards)) if i not in subset]
+    rem = _block_config_index(states, remaining, cards)
+    sub = _block_config_index(states, subset, cards)
+    sub_cards = [cards[i] for i in subset]
+    n_sub = math.prod(sub_cards)
+    n_rem = n_rows // n_sub
+
+    grid = np.empty((n_sub, n_rem, k))
+    grid[sub, rem] = truth.rows
+    order = np.argsort(grid, axis=0)
+    # flat index of ranked[i, r, s] is i * n_rem * k + cell[r, s]
+    ranked = np.take_along_axis(grid, order, axis=0).ravel()
+    cell = np.arange(n_rem * k).reshape(n_rem, k)
+
+    # per divorced parent, (binarizations, subset configurations): does its gate input read 1
+    choices = [_binarizations(c) for c in sub_cards]
+    sub_states = config_table(sub_cards)
+    inputs = [
+        np.array([[s in b for s in range(c)] for b in ch])[:, sub_states[:, j]]
+        for j, (c, ch) in enumerate(zip(sub_cards, choices))
+    ]
+    # (gate, number of inputs reading 1): the gate output
+    n_ones = np.arange(len(subset) + 1)
+    gate_table = np.stack([n_ones == len(subset), n_ones > 0, n_ones % 2 == 1])
+
+    shape = (len(GATES), *map(len, choices))
+    total = math.prod(shape)
+    scores = np.empty(total)
+    step = max(1, _DIVORCE_CHUNK_ELEMENTS // (n_rows * k))
+    for start in range(0, total, step):
+        gate, *picks = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+        n_cand = len(gate)
+        ones = sum(t[j] for t, j in zip(inputs, picks))  # (candidates, subset configurations)
+        gate_out = gate_table[gate[:, None], ones]
+        # rank1[c, i, r, s]: how many of the i + 1 smallest entries of column (r, s) have gate 1;
+        # a running sum over slices, as np.cumsum along this axis is about 10x slower
+        rank1 = gate_out[:, order].astype(np.int32)
+        for i in range(1, n_sub):
+            rank1[:, i] += rank1[:, i - 1]
+        rank0 = np.arange(1, n_sub + 1, dtype=np.int32)[:, None, None] - rank1
+        n1 = rank1[:, -1, 0, 0]
+        pairs = []
+        for rank, count in ((rank0, n_sub - n1), (rank1, n1)):
+            for central in ((count - 1) // 2, count // 2):
+                # entries ranked at or below ``central`` precede the member of that rank
+                pos = (rank <= central[:, None, None, None]).sum(axis=1)
+                pairs.append(np.take(ranked, pos * (n_rem * k) + cell))
+        # (candidates, remaining configuration, gate value, state); group label 2 * rem + gate
+        lo = np.stack(pairs[0::2], axis=2).reshape(n_cand, 2 * n_rem, k)
+        hi = np.stack(pairs[1::2], axis=2).reshape(n_cand, 2 * n_rem, k)
+        params = _median_pair_params(lo, hi).reshape(-1, k)
+        labels = 2 * n_rem * np.arange(n_cand)[:, None] + 2 * rem + gate_out[:, sub]
+        diff = np.abs(truth.rows - np.take(params, labels, axis=0)).reshape(n_cand, -1)
+        scores[start:start + n_cand] = 0.5 * diff.sum(axis=1)
+    return scores
 
 
 def scm_fit(truth: Cpt, spec: ScmSpec) -> ApproxResult:

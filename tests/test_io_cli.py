@@ -292,7 +292,7 @@ class TestMethodCommands:
              "Hypertension,SleepDuration"],
         )
         assert code == 2
-        assert "gate input 1" in err
+        assert "parent SleepDuration has 3 states" in err and "gate input 1" in err
 
     def test_divorce_rejects_map_for_parent_not_divorced(self, capsys):
         code, _, err = _run(
@@ -301,7 +301,7 @@ class TestMethodCommands:
              "--map", "SleepDuration=>9hours"],
         )
         assert code == 2
-        assert "parent 3" in err and "not divorced" in err
+        assert "parent SleepDuration, which is not divorced" in err
 
     def test_scm_on_small_document(self, capsys, tmp_path):
         rng = np.random.default_rng(41)
@@ -423,6 +423,22 @@ class TestReproduceCommand:
             # re-scoring the emitted document reproduces the reported score
             assert f"{score_sum_tvd(truth, emitted):.4f}" == reported[method]
         assert "method" in out  # aligned text table on stdout
+
+    def test_two_parent_table_reports_every_method(self, capsys, tmp_path):
+        # with two parents, divorcing takes both
+        truth_path = tmp_path / "two.json"
+        save_cpt(random_cpt(np.random.default_rng(52), (2, 2)), truth_path)
+        report = tmp_path / "report.csv"
+        code, _, err = _run(
+            capsys,
+            ["reproduce", str(truth_path), "--out", str(report), "--restarts", "1",
+             "--population", "20", "--max-generations", "10"],
+        )
+        assert code == 0, err
+        lines = report.read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "pruning", "divorcing", "scm", "ici", "sici"
+        ]
 
     def test_same_seed_runs_are_byte_identical(self, capsys, tmp_path):
         first, _ = self._reproduce(capsys, tmp_path, "one")

@@ -7,7 +7,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cpt_refine import (
@@ -36,7 +36,8 @@ from cpt_refine import (
     sici_evaluate,
 )
 from cpt_refine.cpt import config_table
-from cpt_refine.refine import _mech_config_products, canonical_partition
+from cpt_refine import refine
+from cpt_refine.refine import _divorce_subset_scores, _mech_config_products, canonical_partition
 from cpt_refine.errors import ShapeMismatchError, ValidationError
 
 from conftest import random_cpt
@@ -213,6 +214,41 @@ def _divorce_oracle(truth):
     return best
 
 
+def _binarizations(card):
+    return [c for size in range(1, card) for c in itertools.combinations(range(card), size)]
+
+
+def _loop_divorce_scores(truth, subset):
+    """Every divorce of ``subset`` in search order, each fitted and scored alone:
+    the per-candidate loop the batched search replaces."""
+    cards = truth.parent_cards
+    specs = [
+        DivorceSpec(subset, gate, ones)
+        for gate in ("AND", "OR", "XOR")
+        for ones in itertools.product(*(_binarizations(cards[i]) for i in subset))
+    ]
+    scores = [
+        score_sum_tvd(truth, expand_grouped(truth, fit_grouping(truth, divorce_groups(cards, s))))
+        for s in specs
+    ]
+    return specs, scores
+
+
+def _message_or(call):
+    """The call's result, or the message of the ValidationError it raises."""
+    try:
+        return call()
+    except ValidationError as e:
+        return str(e)
+
+
+def _tie_prone_cpt(rng, cards, child_card):
+    """A random CPT whose probabilities are multiples of 0.1, so medians and scores tie."""
+    base = random_cpt(rng, cards, child_card)
+    rows = rng.multinomial(10, np.full(child_card, 1 / child_card), size=base.n_rows) / 10
+    return Cpt(base.child, base.parents, rows)
+
+
 class TestDivorceBest:
     def test_anxiety_reference_divorce(self, anxiety):
         spec, result = divorce_best(anxiety)
@@ -237,7 +273,7 @@ class TestDivorceBest:
         with pytest.raises(ValidationError):
             divorce_best(anxiety, block_size=1)
         with pytest.raises(ValidationError):
-            divorce_best(anxiety, block_size=4)
+            divorce_best(anxiety, block_size=5)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -246,6 +282,91 @@ class TestDivorceBest:
         truth = random_cpt(rng, (2, 2, 2, 2))
         _, result = divorce_best(truth)
         assert result.score == pytest.approx(_divorce_oracle(truth), abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cards=st.lists(st.integers(min_value=2, max_value=4), min_size=3, max_size=5),
+        child_card=st.sampled_from([2, 3]),
+        size=st.sampled_from(["2", "3", "n"]),
+        rounded=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_batched_scores_equal_per_candidate_fits(self, cards, child_card, size, rounded, seed):
+        block_size = len(cards) if size == "n" else int(size)
+        subsets = list(itertools.combinations(range(len(cards)), block_size))
+        n_candidates = sum(
+            3 * math.prod(2 ** cards[i] - 2 for i in subset) for subset in subsets
+        )
+        assume(n_candidates * math.prod(cards) <= 150_000)  # bounds the per-candidate loop
+        rng = np.random.default_rng(seed)
+        truth = (_tie_prone_cpt if rounded else random_cpt)(rng, tuple(cards), child_card)
+        loop = {s: _message_or(lambda: _loop_divorce_scores(truth, s)) for s in subsets}
+        for subset in subsets:
+            batched = _message_or(lambda: _divorce_subset_scores(truth, subset))
+            if isinstance(loop[subset], str):
+                assert batched == loop[subset]
+            else:
+                assert batched.tolist() == loop[subset][1]
+        # the first strict minimum in (subset, gate, binarization) order, or the loop's first error
+        expected = None
+        for subset in subsets:
+            if isinstance(loop[subset], str):
+                expected = loop[subset]
+                break
+            for spec, score in zip(*loop[subset]):
+                if expected is None or score < expected[1]:
+                    expected = (spec, score)
+        found = _message_or(lambda: divorce_best(truth, block_size))
+        if isinstance(expected, str):
+            assert found == expected
+        else:
+            assert found[0] == expected[0]
+            assert found[1].score == expected[1]
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_scores_span_several_chunks(self, rounded):
+        # two 4-state parents give 3 * 14 * 14 = 588 candidates, more than one chunk holds
+        truth = (_tie_prone_cpt if rounded else random_cpt)(
+            np.random.default_rng(61), (4, 4, 2, 2), 3
+        )
+        assert 588 > refine._DIVORCE_CHUNK_ELEMENTS // truth.rows.size
+        specs, scores = _loop_divorce_scores(truth, (0, 1))
+        assert _divorce_subset_scores(truth, (0, 1)).tolist() == scores
+        assert len(specs) == 588
+
+    def test_all_zero_median_group_fails_as_the_loop_does(self):
+        # the first 28 candidates fit; the 29th, XOR over P = s2 and Q = s0, leaves
+        # group 3 (R = s1, gate 1) with every per-state median 0
+        rows = [
+            [0.0, 0.0, 1.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+            [0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+            [0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0],
+        ]
+        tri = ("s0", "s1", "s2")
+        parents = (Variable("P", tri), Variable("Q", tri[:2]), Variable("R", tri[:2]))
+        truth = Cpt(Variable("Y", tri), parents, rows)
+        with pytest.raises(ValidationError) as loop_error:
+            _loop_divorce_scores(truth, (0, 1))
+        assert str(loop_error.value) == "group 3 has all-zero medians"
+        with pytest.raises(ValidationError) as search_error:
+            divorce_best(truth)
+        assert str(search_error.value) == str(loop_error.value)
+
+    def test_ties_across_subsets_go_to_the_first_candidate(self):
+        # every divorce of a table with one row repeated fits it exactly
+        truth = Cpt(BIN, binary_parents(3), [[0.3, 0.7]] * 8)
+        spec, result = divorce_best(truth)
+        assert spec == DivorceSpec((0, 1), "AND", ((0,), (0,)))
+        assert result.score == 0.0
+
+    def test_divorces_every_parent_of_a_two_parent_table(self):
+        truth = random_cpt(np.random.default_rng(62), (2, 3))
+        spec, result = divorce_best(truth)
+        assert spec.divorced == (0, 1)
+        assert result.free_params == 2
+        specs, scores = _loop_divorce_scores(truth, (0, 1))
+        assert result.score == min(scores)
+        assert spec == specs[scores.index(min(scores))]
 
 
 class TestScmFit:
