@@ -3,7 +3,7 @@
 
 Runs all five refinement methods with the default search configuration
 and writes the comparison report plus per-method approximate CPT documents
-under results/. About 5 s of compute on a 2-vCPU VM; rerunning with the
+under results/. About 3 s of compute on a 2-vCPU VM; rerunning with the
 same seed rewrites identical files.
 """
 

@@ -14,7 +14,8 @@ Subcommands::
 Exit codes: 0 success, 2 validation failure or a file that cannot be read or
 written, 3 shape mismatch, 4 search space guard exceeded. The SICI
 partition sweep runs its partitions one after another in this process and
-prints a progress line after each one.
+prints a progress line after each one. ``reproduce`` runs it once: the best
+is the SICI row, and the singleton partition (ICI itself) is the ICI row.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import fixtures as fixture_data
-from .cpt import Cpt, param_count, score_sum_kl, score_sum_tvd, tvd_row
+from .cpt import Cpt, config_table, kl_row, param_count, score_sum_kl, score_sum_tvd, tvd_row
 from .errors import SearchSpaceError, ShapeMismatchError, ValidationError
 from .io import (
     ReportRow,
@@ -39,6 +39,7 @@ from .io import (
 )
 from .optimizer import (
     GaConfig,
+    SiciSweep,
     optimize_ici,
     optimize_sici,
     optimize_sici_partition,
@@ -210,24 +211,16 @@ def _emit_result(truth: Cpt, spec: RefinementSpec, result: ApproxResult, out: st
 def cmd_score(args) -> int:
     truth = load_cpt(args.truth)
     approx = load_cpt(args.approx)
-    if args.metric == "kl":
-        score = score_sum_kl(truth, approx)
-    else:
-        score = score_sum_tvd(truth, approx)
+    kl = args.metric == "kl"
+    score = (score_sum_kl if kl else score_sum_tvd)(truth, approx)
     if args.verbose:
-        from .cpt import config_table, kl_row
-
+        row_metric = kl_row if kl else tvd_row
         states = config_table(truth.parent_cards)
         for k in range(truth.n_rows):
-            row_metric = (
-                tvd_row(truth.rows[k], approx.rows[k])
-                if args.metric == "tvd"
-                else kl_row(truth.rows[k], approx.rows[k])
-            )
             labels = ", ".join(
                 f"{v.name}={v.states[s]}" for v, s in zip(truth.parents, states[k])
             )
-            print(f"row {k + 1:>3} ({labels}): {row_metric:.4f}")
+            print(f"row {k + 1:>3} ({labels}): {row_metric(truth.rows[k], approx.rows[k]):.4f}")
     print(f"{score:.4f}")
     return 0
 
@@ -312,27 +305,27 @@ def _parse_partition(truth: Cpt, text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
+def _sweep(truth: Cpt, args) -> SiciSweep:
+    """The SICI partition sweep; a progress line goes to stderr after each partition."""
+    progress = lambda done, total, best: print(
+        f"sici: partition {done}/{total}, best {best:.4f}", file=sys.stderr
+    )
+    return optimize_sici(truth, _ga_config(args), on_progress=progress)
+
+
 def cmd_sici(args) -> int:
     truth = load_cpt(args.truth)
-    config = _ga_config(args)
     if args.partition is not None:
-        search = optimize_sici_partition(truth, _parse_partition(truth, args.partition), config)
+        partition = _parse_partition(truth, args.partition)
+        search = optimize_sici_partition(truth, partition, _ga_config(args))
     else:
-        sweep = optimize_sici(
-            truth,
-            config,
-            on_progress=lambda done, total, best: print(
-                f"sici: partition {done}/{total}, best {best:.4f}", file=sys.stderr
-            ),
-        )
-        search = sweep.best
+        search = _sweep(truth, args).best
     _emit_result(truth, search.best_spec, search.fit, args.out)
     return 0
 
 
 def cmd_reproduce(args) -> int:
     truth = load_cpt(args.truth)
-    config = _ga_config(args)
     out = Path(args.out)
 
     say = lambda msg: print(msg, file=sys.stderr)
@@ -342,10 +335,9 @@ def cmd_reproduce(args) -> int:
     div_spec, div_result = divorce_best(truth)
     say("scm: exact search over sorted contiguous row splits")
     scm_search = scm_exact(truth)
-    say("ici: coordinate descent from seeded random starts")
-    ici_search = optimize_ici(truth, config)
-    say("sici: coordinate descent per parent partition")
-    sici_search = optimize_sici(truth, replace(config, seed=config.seed + config.restarts)).best
+    say("ici, sici: coordinate descent per parent partition; ICI is the singleton one")
+    sweep = _sweep(truth, args)
+    ici_search, sici_search = sweep.ici, sweep.best
 
     named: list[tuple[str, RefinementSpec, ApproxResult]] = [
         ("pruning", prune_spec, prune_result),

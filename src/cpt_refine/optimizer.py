@@ -13,19 +13,19 @@ Four parts:
   ``scm_bruteforce`` scans every bipartition with a vectorised
   median/absolute-deviation kernel and serves as its oracle.
 
-* batched exact coordinate descent for ICI and SICI (ICI is searched and
-  evaluated as US-SICI with singleton parent blocks). The child is binary,
-  so each row's P(Y=1) is affine in every block's mechanism parameters, and
-  each row reads one parameter per block. With everything else fixed, a
-  parameter's least-absolute-deviation optimum is an exact weighted median
-  (the coordinate step of Wu & Lange, "Coordinate descent algorithms for
-  lasso penalized regression", Ann. Appl. Stat. 2008). A sweep first applies
-  each start's best improving single-bit combiner flip until none improves,
-  then refits the blocks in order. The objective has kinks where plain
-  coordinate descent stalls, so many seeded random starts run at once on the
-  leading axis of the ``refine`` mechanism-product kernel. Identical seed and
-  config give bitwise-identical results. The SICI sweep runs its partitions
-  one after another in one process.
+* batched exact coordinate descent for ICI and SICI. ICI is US-SICI with
+  singleton parent blocks, searched alone by ``optimize_ici`` and within the
+  SICI sweep as ``SiciSweep.ici``. The child is binary, so each row's P(Y=1)
+  is affine in every block's mechanism parameters, and each row reads one
+  parameter per block. With everything else fixed, a parameter's
+  least-absolute-deviation optimum is an exact weighted median (the
+  coordinate step of Wu & Lange, "Coordinate descent algorithms for lasso
+  penalized regression", Ann. Appl. Stat. 2008). A sweep first applies each
+  start's best improving single-bit combiner flip until none improves, then
+  refits the blocks in order. The objective has kinks where plain coordinate
+  descent stalls, so many seeded random starts run at once on the leading
+  axis of the ``refine`` mechanism-product kernel. Identical seed and config
+  give bitwise-identical results. The sweep runs its partitions serially.
 
 * a seeded genetic algorithm over a mixed encoding (``ga_optimize``): binary
   tournament selection, uniform crossover (rate 0.8), elitism 5%, per-gene
@@ -156,6 +156,12 @@ class SiciSweep:
 
     results: tuple[SearchResult, ...]
     best: SearchResult
+
+    @property
+    def ici(self) -> SearchResult:
+        """The result of the partition into singletons, as an :class:`IciSpec` search."""
+        singles = (r for r in self.results if max(map(len, r.best_spec.parent_partition)) == 1)
+        return _as_ici(next(singles))
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +611,11 @@ def optimize_ici(
     if n > 12:
         raise SearchSpaceError(f"{n} parents means 2^{n} combiner entries; not supported")
     singletons = tuple((i,) for i in range(n))
-    result = optimize_sici_partition(truth, singletons, config, on_progress)
+    return _as_ici(optimize_sici_partition(truth, singletons, config, on_progress))
+
+
+def _as_ici(result: SearchResult) -> SearchResult:
+    """A singleton-partition SICI search result with its spec as an :class:`IciSpec`."""
     sici: SiciSpec = result.best_spec
     return replace(result, best_spec=IciSpec(sici.mech_cpts, sici.combiner))
 

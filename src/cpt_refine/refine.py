@@ -305,25 +305,23 @@ def default_binarization(
 ) -> tuple[tuple[int, ...], ...]:
     """Binarization tuple for a divorce spec: state 1 maps to gate input 1
     for binary parents unless overridden; wider parents must be overridden.
-    An override for a parent that is not divorced is an error. Errors name
-    the parent."""
+    An override lists some but not all states, each once, of a divorced
+    parent. Errors name the parent."""
     overrides = overrides or {}
-    for i in overrides:
-        if i not in divorced:
-            raise ValidationError(
-                f"binarization given for parent {parents[i].name}, which is not divorced"
-            )
+    stray = [parents[i].name for i in overrides if i not in divorced]
+    if stray:
+        raise ValidationError(f"binarization given for parent {stray[0]}, which is not divorced")
     out = []
     for i in divorced:
-        if i in overrides:
-            out.append(tuple(sorted(int(s) for s in overrides[i])))
-        elif parents[i].cardinality == 2:
-            out.append((1,))
-        else:
-            raise ValidationError(
-                f"parent {parents[i].name} has {parents[i].cardinality} states; "
-                "choose which map to gate input 1"
-            )
+        name, card = parents[i].name, parents[i].cardinality
+        if i not in overrides and card != 2:
+            raise ValidationError(f"parent {name} has {card} states; "
+                                  "choose which map to gate input 1")
+        b = tuple(sorted(int(s) for s in overrides.get(i, (1,))))
+        if not 0 < len(set(b)) == len(b) < card:
+            raise ValidationError(f"parent {name} must map some but not all of its states "
+                                  "to gate input 1, each once")
+        out.append(b)
     return tuple(out)
 
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cpt_refine import load_cpt, save_cpt, score_sum_tvd
+from cpt_refine import (
+    Cpt, GaConfig, Variable, load_cpt, optimize_sici, save_cpt, score_sum_tvd
+)
 from cpt_refine.cli import main
 from cpt_refine.errors import ValidationError
 from cpt_refine.fixtures import FIXTURE_NAMES, fixture_path
@@ -303,6 +305,18 @@ class TestMethodCommands:
         assert code == 2
         assert "parent SleepDuration, which is not divorced" in err
 
+    @pytest.mark.parametrize(
+        "states", ["<6hours,6-9hours,>9hours", "<6hours,<6hours", ">9hours,6-9hours,<6hours"]
+    )
+    def test_divorce_rejects_map_of_every_or_repeated_state(self, capsys, states):
+        code, out, err = _run(
+            capsys,
+            ["divorce", str(fixture_path("anxiety")), "--parents", "Hypertension,SleepDuration",
+             "--map", f"SleepDuration={states}"],
+        )
+        assert code == 2 and out == ""
+        assert "parent SleepDuration must map some but not all of its states" in err
+
     def test_scm_on_small_document(self, capsys, tmp_path):
         rng = np.random.default_rng(41)
         truth_path = tmp_path / "truth.json"
@@ -386,6 +400,23 @@ class TestMethodCommands:
         )
 
 
+# the ICI/SICI search flags of the comparisons below
+SWEEP_FLAGS = ["--seed", "24", "--restarts", "1"]
+
+
+def _sweep_case_truth(case: str) -> Cpt:
+    """Small binary-child tables for comparing ``reproduce`` with the SICI sweep."""
+    if case == "dirichlet-24":
+        # three binary parents: with separate ICI and SICI searches this table
+        # scored ICI 0.4207 and SICI 0.4222, the SICI winner being ICI itself
+        binary = ("s0", "s1")
+        parents = tuple(Variable(f"X{i}", binary) for i in range(3))
+        rows = np.random.default_rng(24).dirichlet((1, 1), size=8)
+        return Cpt(Variable("Y", ("y0", "y1")), parents, rows)
+    seed, cards = {"2x2": (71, (2, 2)), "3x2": (72, (3, 2)), "2x3x2": (73, (2, 3, 2))}[case]
+    return random_cpt(np.random.default_rng(seed), cards)
+
+
 class TestReproduceCommand:
     def _reproduce(self, capsys, tmp_path, subdir, seed="3"):
         workdir = tmp_path / subdir
@@ -454,3 +485,35 @@ class TestReproduceCommand:
         second, _ = self._reproduce(capsys, tmp_path, "b", seed="4")
         for name in ("report_pruning.json", "report_divorcing.json", "report_scm.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    @pytest.mark.parametrize("case", ["dirichlet-24", "2x2", "3x2", "2x3x2"])
+    def test_ici_row_is_the_sweeps_singleton_partition(self, capsys, tmp_path, case):
+        truth = _sweep_case_truth(case)
+        truth_path = tmp_path / "truth.json"
+        save_cpt(truth, truth_path)
+        report = tmp_path / "report.csv"
+        code, _, err = _run(capsys, ["reproduce", str(truth_path), "--out", str(report),
+                                     *SWEEP_FLAGS])
+        assert code == 0, err
+        scores = {
+            line.split(",")[0]: float(line.split(",")[1])
+            for line in report.read_text().splitlines()[1:]
+        }
+        assert scores["sici"] <= scores["ici"]
+        if len(truth.parents) == 2:  # the singletons are the sweep's only partition
+            assert scores["sici"] == scores["ici"]
+
+        sweep = optimize_sici(truth, GaConfig(seed=24, restarts=1))
+        singletons = tuple((i,) for i in range(len(truth.parents)))
+        (single,) = [r for r in sweep.results if r.best_spec.parent_partition == singletons]
+        save_cpt(single.fit.cpt, tmp_path / "singletons.json")
+        assert (tmp_path / "report_ici.json").read_bytes() == (
+            tmp_path / "singletons.json"
+        ).read_bytes()
+
+        code, _, err = _run(capsys, ["sici", str(truth_path), "--out",
+                                     str(tmp_path / "sici.json"), *SWEEP_FLAGS])
+        assert code == 0, err
+        assert (tmp_path / "report_sici.json").read_bytes() == (
+            tmp_path / "sici.json"
+        ).read_bytes()
