@@ -21,6 +21,8 @@ is the SICI row, and the singleton partition (ICI itself) is the ICI row.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -70,6 +72,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = getattr(args, "out", None)
+        if out and not Path(out).parent.is_dir():  # fail before any search runs
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         return args.func(args)
     except ShapeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,8 +23,9 @@ Four parts:
   penalized regression", Ann. Appl. Stat. 2008). A sweep first applies each
   start's best improving single-bit combiner flip until none improves, then
   refits the blocks in order. The objective has kinks where plain coordinate
-  descent stalls, so many seeded random starts run at once on the leading
-  axis of the ``refine`` mechanism-product kernel. Identical seed and config
+  descent stalls, so many seeded random starts run at once on the last axis
+  of the ``refine`` mechanism-product kernel's (configurations, rows, starts)
+  arrays; starts at a fixed point leave the batch. Identical seed and config
   give bitwise-identical results. The sweep runs its partitions serially.
 
 * a seeded genetic algorithm over a mixed encoding (``ga_optimize``): binary
@@ -414,12 +415,18 @@ def _ga_single_run(
 # count vary by 16% (interquartile range over median); with this floor, 4%.
 _MIN_SWEEP_GAIN = 1e-5
 
+# A sweep takes its live starts in chunks of at most this many elements of the
+# (2^m, rows, starts) joint: one chunk for every Anxiety and network batch of 300
+# (at most 16 x 24 x 300). At 12 binary parents a chunk's lone start, held twice,
+# needs 256 MiB per array (computed, not run), where 300 at once would need 40 GB.
+_DESCENT_CHUNK_ELEMENTS = 1 << 17
+
 
 @dataclass(frozen=True, eq=False)
 class _Structure:
     """A US-SICI structure over a binary-child truth CPT, as the descent reads it."""
 
-    t_yes: np.ndarray  # (rows,) target P(Y = 1)
+    t_yes: np.ndarray  # (rows, 1) target P(Y = 1)
     rows: list[np.ndarray]  # per block, each row's configuration index (``_block_rows``)
     by_config: list[np.ndarray]  # per block, the rows in order of that index
     sizes: tuple[int, ...]  # per block, the number of configurations
@@ -430,57 +437,85 @@ class _Structure:
         rows = _block_rows(cards, partition)
         by_config = [np.argsort(r, kind="stable") for r in rows]
         sizes = tuple(math.prod(cards[i] for i in block) for block in partition)
-        return cls(truth.rows[:, 1], rows, by_config, sizes)
+        return cls(truth.rows[:, 1:], rows, by_config, sizes)
 
 
 @dataclass(eq=False)
 class _Starts:
-    """A batch of descent states. ``p_yes`` is each start's model P(Y = 1) per row
-    and ``score`` its sum of |p_yes - t_yes|, as the last step that moved it computed."""
+    """A batch of descent states, one start per column. ``p_yes`` is each start's model P(Y = 1)
+    per row and ``score`` its sum of |p_yes - t_yes|, as the last step that moved it computed."""
 
-    mech: list[np.ndarray]  # per block, (starts, configs_b) P(M_b = 1 | configuration)
-    comb: np.ndarray  # (starts, 2^m) child state per mechanism configuration, 0.0 or 1.0
-    p_yes: np.ndarray  # (starts, rows)
+    mech: list[np.ndarray]  # per block, (configs_b, starts) P(M_b = 1 | configuration)
+    comb: np.ndarray  # (2^m, starts) child state per mechanism configuration, 0.0 or 1.0
+    p_yes: np.ndarray  # (rows, starts)
     score: np.ndarray  # (starts,)
+
+    def take(self, idx: np.ndarray) -> "_Starts":
+        """The starts ``idx`` as a batch of their own, copied in C order."""
+        cols = [np.take(x, idx, axis=-1) for x in (*self.mech, self.comb, self.p_yes, self.score)]
+        return _Starts(cols[:-3], *cols[-3:])
+
+    def put(self, idx: np.ndarray, chunk: "_Starts") -> np.ndarray:
+        """Write ``chunk`` back to the starts ``idx``; True where a start's state changed."""
+        moved = np.zeros(len(idx), dtype=bool)
+        pairs = zip([*self.mech, self.comb, self.p_yes], [*chunk.mech, chunk.comb, chunk.p_yes])
+        for old, new in pairs:
+            # compare bits, so that 0.0 and -0.0 differ
+            moved |= (old[:, idx].view(np.int64) != new.view(np.int64)).any(axis=0)
+            old[:, idx] = new
+        self.score[idx] = chunk.score
+        return moved
+
+
+def _wide(idx: np.ndarray) -> np.ndarray:
+    """``idx`` with a lone start held twice: numpy sums a (rows, 1) array pairwise, not
+    in order, so a lone start would score in other bits than in a batch."""
+    return np.repeat(idx, 2) if len(idx) == 1 else idx
 
 
 def _joint(structure: _Structure, mech: Sequence[np.ndarray], skip: int = -1) -> np.ndarray:
-    """(starts, rows, 2^m) mechanism-configuration probabilities, leaving out block ``skip``."""
+    """(2^m, rows, starts) mechanism-configuration probabilities, leaving out block ``skip``."""
     keep = [b for b in range(len(mech)) if b != skip]
     return _mech_joint([_binary_states(mech[b]) for b in keep], [structure.rows[b] for b in keep])
 
 
 def _random_starts(structure: _Structure, rng: np.random.Generator, n: int) -> _Starts:
-    """Uniform mechanism probabilities and combiner bits; configuration 0 maps to state 0."""
-    mech = [rng.random((n, size)) for size in structure.sizes]
-    comb = np.zeros((n, 1 << len(mech)))
-    comb[:, 1:] = rng.integers(0, 2, size=(n, comb.shape[1] - 1))
-    p_yes = (_joint(structure, mech) * comb[:, None, :]).sum(axis=-1)
-    return _Starts(mech, comb, p_yes, np.abs(p_yes - structure.t_yes).sum(axis=-1))
+    """Uniform mechanism probabilities and combiner bits; configuration 0 maps to state 0.
+    Each start is drawn as a row, then transposed, so a seed's starts keep their draw order."""
+    mech = [np.ascontiguousarray(rng.random((n, size)).T) for size in structure.sizes]
+    comb = np.zeros((1 << len(mech), n))
+    comb[1:] = rng.integers(0, 2, size=(n, len(comb) - 1)).T
+    p_yes = (_joint(structure, mech) * comb[:, None, :]).sum(axis=0)
+    return _Starts(mech, comb, p_yes, np.abs(p_yes - structure.t_yes).sum(axis=0))
 
 
 def _flip_combiner(structure: _Structure, starts: _Starts) -> int:
     """Apply each start's best improving single-bit combiner flip until none improves.
 
     Every flip of every still-improving start is scored at once; configuration 0
-    stays pinned. Returns the number of candidate scores computed.
+    stays pinned. ``starts`` holds at least two columns (see :func:`_wide`).
+    Returns the number of candidate scores computed.
     """
-    # (starts, 2^m - 1, rows): the P(Y = 1) mass each flippable configuration moves
-    moves = np.ascontiguousarray(np.swapaxes(_joint(structure, starts.mech), 1, 2)[:, 1:])
+    # (2^m - 1, rows, starts): the P(Y = 1) mass each flippable configuration
+    # moves, for the columns _wide(active)
+    moves = _joint(structure, starts.mech)[1:]
     active = np.arange(len(starts.score))
     evaluations = 0
     while active.size:
-        sign = 1.0 - 2.0 * starts.comb[active, 1:]
-        cand = starts.p_yes[active, None, :] + sign[:, :, None] * moves[active]
-        scores = np.abs(cand - structure.t_yes).sum(axis=-1)
-        evaluations += scores.size
-        j = np.argmin(scores, axis=1)
+        cols = _wide(active)
+        sign = 1.0 - 2.0 * np.take(starts.comb[1:], cols, axis=1)
+        cand = np.take(starts.p_yes, cols, axis=1) + sign[:, None, :] * moves
+        dev = np.subtract(cand, structure.t_yes)
+        scores = np.abs(dev, out=dev).sum(axis=1)
+        evaluations += len(scores) * active.size
         at = np.arange(active.size)
-        improves = scores[at, j] < starts.score[active]
+        j = np.argmin(scores, axis=0)[at]
+        improves = scores[j, at] < starts.score[active]
         at, j, active = at[improves], j[improves], active[improves]
-        starts.comb[active, j + 1] = 1.0 - starts.comb[active, j + 1]
-        starts.p_yes[active] = cand[at, j]
-        starts.score[active] = scores[at, j]
+        starts.comb[j + 1, active] = 1.0 - starts.comb[j + 1, active]
+        starts.p_yes[:, active] = cand[j, :, at].T
+        starts.score[active] = scores[j, at]
+        moves = np.take(moves, _wide(at), axis=2)
     return evaluations
 
 
@@ -496,35 +531,41 @@ def _fit_block(structure: _Structure, starts: _Starts, b: int) -> int:
     value; a start keeps its old block if the refit would raise its score.
     Returns the number of candidate scores computed.
     """
-    n, n_rows = starts.p_yes.shape
+    n_rows, n = starts.p_yes.shape
     t = structure.t_yes
     joint = _joint(structure, starts.mech, skip=b)
-    halves = starts.comb.reshape(n, -1, 2, 1 << b)
-    off = halves[:, :, 0].reshape(n, 1, -1)
-    on = halves[:, :, 1].reshape(n, 1, -1)
+    halves = starts.comb.reshape(-1, 2, 1 << b, n)
+    off = halves[:, 0].reshape(-1, 1, n)
+    on = halves[:, 1].reshape(-1, 1, n)
     # with b the only block the other blocks' joint is the (1, 1) empty product
-    d = np.broadcast_to((joint * off).sum(axis=-1), (n, n_rows))
-    a = np.broadcast_to((joint * (on - off)).sum(axis=-1), (n, n_rows))
-    z = np.clip(np.divide(t - d, a, out=np.zeros((n, n_rows)), where=a != 0), 0.0, 1.0)
+    d = np.broadcast_to((joint * off).sum(axis=0), (n_rows, n))
+    a = np.broadcast_to((joint * (on - off)).sum(axis=0), (n_rows, n))
+    z = np.clip(np.divide(t - d, a, out=np.zeros((n_rows, n)), where=a != 0), 0.0, 1.0)
 
     # every configuration of the block is read by the same number of rows
-    group = (n, structure.sizes[b], -1)
+    group = (structure.sizes[b], -1, n)
     rows = structure.by_config[b]
-    z, w = z[:, rows].reshape(group), np.abs(a)[:, rows].reshape(group)
-    order = np.argsort(z, axis=-1, kind="stable")
-    cum_w = np.take_along_axis(w, order, axis=-1).cumsum(axis=-1)
-    total = cum_w[..., -1:]
-    lower = np.argmax(2.0 * cum_w >= total, axis=-1)[..., None]
-    median = np.take_along_axis(np.take_along_axis(z, order, axis=-1), lower, axis=-1)
-    theta = np.where(total > 0.0, median, starts.mech[b][..., None])[..., 0]
+    z, w = z[rows].reshape(group), np.abs(a)[rows].reshape(group)
+    order = np.argsort(z, axis=1, kind="stable")
+    cum_w = np.take_along_axis(w, order, axis=1).cumsum(axis=1)
+    total = cum_w[:, -1:]
+    lower = np.argmax(2.0 * cum_w >= total, axis=1)[:, None]
+    median = np.take_along_axis(np.take_along_axis(z, order, axis=1), lower, axis=1)
+    theta = np.where(total > 0.0, median, starts.mech[b][:, None])[:, 0]
 
-    p_yes = a * theta[:, structure.rows[b]] + d
-    score = np.abs(p_yes - t).sum(axis=-1)
+    p_yes = a * theta[structure.rows[b]] + d
+    score = np.abs(p_yes - t).sum(axis=0)
     take = score <= starts.score
-    starts.mech[b][take] = theta[take]
-    starts.p_yes[take] = p_yes[take]
+    starts.mech[b][:, take] = theta[:, take]
+    starts.p_yes[:, take] = p_yes[:, take]
     starts.score[take] = score[take]
     return n
+
+
+def _sweep(structure: _Structure, starts: _Starts) -> int:
+    """The combiner flips, then each block's refit in order; returns candidate scores computed."""
+    flips = _flip_combiner(structure, starts)
+    return flips + sum(_fit_block(structure, starts, b) for b in range(len(structure.sizes)))
 
 
 def _descend(
@@ -536,20 +577,31 @@ def _descend(
 ) -> tuple[_Starts, int, int]:
     """One batch of ``config.population`` starts, seeded with ``seed``, swept to a stop.
 
-    A sweep runs the combiner flips, then refits the blocks in order. The
+    Each step reads only a start's own column, so a start that a sweep leaves
+    unchanged is at a fixed point and leaves the batch; the rest are swept in
+    chunks of at most ``_DESCENT_CHUNK_ELEMENTS``. Neither changes a result. The
     batch stops after the first sweep that lowers its best score by less than
     ``_MIN_SWEEP_GAIN``, or after ``config.max_generations`` sweeps. Returns
     (final states, sweeps, candidate scores computed).
     """
     starts = _random_starts(structure, np.random.default_rng(seed), config.population)
     evaluations = config.population
+    width = max(1, _DESCENT_CHUNK_ELEMENTS // starts.p_yes.shape[0] // len(starts.comb))
+    live = np.arange(config.population)
     best = float(starts.score.min())
     sweeps = 0
-    while sweeps < config.max_generations:
+    # with every start fixed no later sweep could change anything
+    while sweeps < config.max_generations and live.size:
         sweeps += 1
-        evaluations += _flip_combiner(structure, starts)
-        for b in range(len(structure.sizes)):
-            evaluations += _fit_block(structure, starts, b)
+        moving = []
+        for lo in range(0, live.size, width):
+            idx = live[lo : lo + width]
+            cols = _wide(idx)
+            chunk = starts.take(cols)
+            # a lone start held twice is swept twice; count it once
+            evaluations += _sweep(structure, chunk) * idx.size // cols.size
+            moving.append(idx[starts.put(cols, chunk)[: idx.size]])
+        live = np.concatenate(moving)
         swept = float(starts.score.min())
         if on_progress is not None:
             on_progress(evals_before + evaluations, swept)
@@ -592,7 +644,7 @@ def optimize_sici_partition(
             best = (float(starts.score[i]), starts, i, seed)
     _, starts, i, seed = best
     spec = SiciSpec(
-        part, [m[i] for m in starts.mech], combiner=starts.comb[i].astype(np.int64).tolist()
+        part, [m[:, i] for m in starts.mech], combiner=starts.comb[:, i].astype(np.int64).tolist()
     )
     fit = evaluate_spec(truth, spec)
     return SearchResult(spec, fit.score, evaluations, seed, sweeps, fit)

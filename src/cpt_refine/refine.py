@@ -168,9 +168,9 @@ class SiciSpec:
         object.__setattr__(self, field, _as_tuples(table))
 
     def state_tables(self) -> list[np.ndarray]:
-        """Per block, the (configs_b, k_b) table of P(mechanism_b = s | configuration)."""
+        """Per block, the (k_b, configs_b) table of P(mechanism_b = s | configuration)."""
         tables = [np.array(t, dtype=np.float64) for t in self.mech_cpts]
-        return [_binary_states(t) if t.ndim == 1 else t for t in tables]
+        return [_binary_states(t) if t.ndim == 1 else t.T for t in tables]
 
 
 class IciSpec(SiciSpec):
@@ -221,8 +221,8 @@ def _as_tuples(arr: np.ndarray) -> tuple:
 
 
 def _binary_states(p1: np.ndarray) -> np.ndarray:
-    """(..., 2) state tables [P(M = 0), P(M = 1)] from P(M = 1) values."""
-    return np.stack([1.0 - p1, p1], axis=-1)
+    """(2, ...) state tables [P(M = 0), P(M = 1)] from P(M = 1) values."""
+    return np.stack([1.0 - p1, p1])
 
 
 RefinementSpec = PruneSpec | DivorceSpec | ScmSpec | SiciSpec
@@ -494,10 +494,12 @@ def _require_binary(child: Variable) -> None:
 def _mech_config_products(tables: Sequence[np.ndarray]) -> np.ndarray:
     """Joint mechanism-configuration probabilities per row.
 
-    ``tables[b]`` has shape (..., n_rows, k_b) holding P(M_b = s | row) for
-    each state s; leading axes, such as a batch of search starts, broadcast.
-    Returns a (..., n_rows, prod k_b) array built by successive outer
+    ``tables[b]`` has shape (k_b, n_rows, ...) holding P(M_b = s | row) for
+    each state s; trailing axes, such as a batch of search starts, broadcast.
+    Returns a (prod k_b, n_rows, ...) array built by successive outer
     products, configurations indexed mixed-radix with mechanism 0 fastest.
+    Every element is the same product, in the same order, whatever the
+    trailing axes, so each start of a batch gets the bits it would get alone.
     With no mechanisms (a root node) it is the (1, 1) array of the single
     empty configuration.
     """
@@ -505,8 +507,8 @@ def _mech_config_products(tables: Sequence[np.ndarray]) -> np.ndarray:
         return np.ones((1, 1))
     out = tables[0]
     for p in tables[1:]:
-        joint = p[..., :, None] * out[..., None, :]
-        out = joint.reshape(*joint.shape[:-2], -1)
+        joint = p[:, None] * out[None, :]
+        out = joint.reshape(-1, *joint.shape[2:])
     return out
 
 
@@ -590,11 +592,11 @@ def _block_rows(cards: Sequence[int], partition: Sequence[Sequence[int]]) -> lis
 def _mech_joint(tables: Sequence[np.ndarray], rows: Sequence[np.ndarray]) -> np.ndarray:
     """Joint mechanism-configuration probabilities per CPT row.
 
-    ``tables[b]`` is block b's (..., configs_b, k_b) state table and
+    ``tables[b]`` is block b's (k_b, configs_b, ...) state table and
     ``rows[b]`` the index :func:`_block_rows` gives for block b.
     """
     # np.take keeps C order, which fixes the summation order of later row sums
-    return _mech_config_products([np.take(t, r, axis=-2) for t, r in zip(tables, rows)])
+    return _mech_config_products([np.take(t, r, axis=1) for t, r in zip(tables, rows)])
 
 
 def _check_covers(partition: Sequence[Sequence[int]], n_parents: int) -> None:
@@ -603,15 +605,15 @@ def _check_covers(partition: Sequence[Sequence[int]], n_parents: int) -> None:
 
 
 def _sici_joint(spec: SiciSpec, parents: Sequence[Variable]) -> np.ndarray:
-    """(n_rows, prod k_b) mechanism-configuration probabilities of a SICI spec."""
+    """(prod k_b, n_rows) mechanism-configuration probabilities of a SICI spec."""
     cards = tuple(p.cardinality for p in parents)
     _check_covers(spec.parent_partition, len(parents))
     tables = spec.state_tables()
     for block, table in zip(spec.parent_partition, tables):
         size = math.prod(cards[i] for i in block)
-        if len(table) != size:
+        if table.shape[1] != size:
             raise ShapeMismatchError(
-                f"mechanism table for block {block} has {len(table)} entries, want {size}"
+                f"mechanism table for block {block} has {table.shape[1]} entries, want {size}"
             )
     return _mech_joint(tables, _block_rows(cards, spec.parent_partition))
 
@@ -633,7 +635,9 @@ def sici_evaluate(child: Variable, parents: Sequence[Variable], spec: SiciSpec) 
         lower = np.array(spec.lower_cpt)
         if lower.shape[1] != child.cardinality:
             raise ShapeMismatchError("lower table needs one column per child state")
-    return Cpt(child, tuple(parents), _sici_joint(spec, parents) @ lower)
+    # a product of the transposed view itself would differ in the last bits
+    joint = np.ascontiguousarray(_sici_joint(spec, parents).T)
+    return Cpt(child, tuple(parents), joint @ lower)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +665,7 @@ def param_savings(
     elif isinstance(spec, ScmSpec):
         free = 2 * (child_card - 1)
     elif isinstance(spec, SiciSpec):
-        mech_cards = [t.shape[1] for t in spec.state_tables()]
+        mech_cards = [len(t) for t in spec.state_tables()]
         free = sum(
             math.prod(cards[i] for i in b) * (k - 1)
             for b, k in zip(spec.parent_partition, mech_cards)

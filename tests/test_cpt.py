@@ -21,6 +21,7 @@ from cpt_refine import (
     score_sum_tvd,
     tvd_row,
 )
+from cpt_refine.cpt import _median_pair_params
 from cpt_refine.errors import ShapeMismatchError, ValidationError
 from cpt_refine.refine import PruneSpec, prune_groups
 
@@ -265,6 +266,22 @@ class TestGroupings:
         assert np.array_equal(np.sort(names)[grouping.labels], labels)
         expanded = expand_grouped(truth, grouping)
         assert np.array_equal(expanded.rows, np.array(oracle)[grouping.labels])
+
+    @pytest.mark.parametrize("states", range(2, 11))
+    def test_median_pair_sums_match_numpy_sum(self, states):
+        # the state sums are explicit adds; below 8 states they give numpy's
+        # sum bit for bit, and wider children stay within a few ulps of it
+        rng = np.random.default_rng(states)
+        lo = rng.dirichlet(np.ones(states), size=(5, 7))
+        hi = np.maximum(lo, rng.dirichlet(np.ones(states), size=(5, 7)))
+        params = (lo + hi) / 2
+        sums = params.sum(axis=-1, keepdims=True)
+        want = np.where(np.abs(sums - 1.0) > 1e-12, params / sums, params)
+        got = _median_pair_params(lo, hi)
+        if states < 8:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 2e-15
 
 
 class TestCptValidation:

@@ -219,6 +219,17 @@ class TestScoreCommand:
         assert code == 2
         assert err.startswith("error:") and "No such file or directory" in err
 
+    def test_missing_out_directory_fails_before_any_search(self, capsys, tmp_path, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran before --out was checked")
+
+        monkeypatch.setattr("cpt_refine.cli.prune_best", no_search)
+        out = str(tmp_path / "missing" / "report.csv")
+        code, _, err = _run(capsys, ["reproduce", str(fixture_path("anxiety")), "--out", out])
+        assert code == 2
+        # the message names the path given, not a temporary file beside it
+        assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())

@@ -439,10 +439,10 @@ def _check_consistent(truth, partition, starts):
     """Each start's P(Y=1) is its model's, and its score is the sum of |P(Y=1) - t|."""
     t = truth.rows[:, 1]
     for s in range(len(starts.score)):
-        model = _model_yes(truth, partition, [m[s] for m in starts.mech], starts.comb[s])
-        assert np.abs(starts.p_yes[s] - model).max() <= 1e-12
+        model = _model_yes(truth, partition, [m[:, s] for m in starts.mech], starts.comb[:, s])
+        assert np.abs(starts.p_yes[:, s] - model).max() <= 1e-12
         assert starts.score[s] == pytest.approx(np.abs(model - t).sum(), abs=1e-12)
-    assert np.all(starts.comb[:, 0] == 0.0)
+    assert np.all(starts.comb[0] == 0.0)
 
 
 class TestCoordinateDescent:
@@ -457,11 +457,11 @@ class TestCoordinateDescent:
                 # P(Y=1) is affine in block b's parameters: read it at all-0 and all-1
                 oracle = []
                 for s in range(4):
-                    mech = [m[s].copy() for m in starts.mech]
+                    mech = [m[:, s].copy() for m in starts.mech]
                     ends = []
                     for value in (0.0, 1.0):
                         mech[b][:] = value
-                        ends.append(_model_yes(truth, partition, mech, starts.comb[s]))
+                        ends.append(_model_yes(truth, partition, mech, starts.comb[:, s]))
                     slope = ends[1] - ends[0]
                     total = 0.0
                     for c in range(structure.sizes[b]):
@@ -485,12 +485,12 @@ class TestCoordinateDescent:
             before = starts.score.copy()
             evaluations = optimizer._flip_combiner(structure, starts)
             assert np.all(starts.score <= before)
-            assert evaluations >= 6 * (starts.comb.shape[1] - 1)
+            assert evaluations >= 6 * (len(starts.comb) - 1)
             _check_consistent(truth, partition, starts)
             for s in range(6):
-                mech = [m[s] for m in starts.mech]
-                for j in range(1, starts.comb.shape[1]):
-                    flipped = starts.comb[s].copy()
+                mech = [m[:, s] for m in starts.mech]
+                for j in range(1, len(starts.comb)):
+                    flipped = starts.comb[:, s].copy()
                     flipped[j] = 1.0 - flipped[j]
                     score = np.abs(_model_yes(truth, partition, mech, flipped) - t).sum()
                     assert score >= starts.score[s] - 1e-12
@@ -530,6 +530,55 @@ class TestCoordinateDescent:
         config = GaConfig(population=20, max_generations=1, restarts=3, seed=1)
         result = optimize_sici_partition(truth, ((0,), (1, 2)), config)
         assert result.generations_run == 3
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_each_start_ends_where_it_ends_swept_alone(self, case, monkeypatch):
+        # the batch drops starts at fixed points and sweeps the rest in chunks of
+        # three, so a chunk may hold a lone start; neither may change any start.
+        # With a gain floor of -inf a batch sweeps on until every start is
+        # fixed or the cap ends it.
+        rng = np.random.default_rng(300 + case)
+        truth, partition, structure = _random_structure(rng)
+        chunk = (3 * truth.n_rows) << len(partition)
+        monkeypatch.setattr(optimizer, "_DESCENT_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(optimizer, "_MIN_SWEEP_GAIN", -math.inf)
+        config = GaConfig(population=40, max_generations=30, restarts=1)
+        batch, sweeps, evaluations = optimizer._descend(structure, config, case, 0, None)
+        initial = optimizer._random_starts(structure, np.random.default_rng(case), 40)
+        lone_evaluations = 40
+        for s in range(40):
+            # held twice, as the descent holds a lone start (see _wide)
+            alone = initial.take(np.array([s, s]))
+            for _ in range(sweeps):
+                lone_evaluations += optimizer._sweep(structure, alone) // 2
+            for got, want in zip(batch.mech, alone.mech):
+                assert got[:, s].tobytes() == want[:, 0].tobytes()
+            assert batch.comb[:, s].tobytes() == alone.comb[:, 0].tobytes()
+            assert batch.p_yes[:, s].tobytes() == alone.p_yes[:, 0].tobytes()
+            assert batch.score[s].tobytes() == alone.score[0].tobytes()
+        # starts left the batch on the way: it computed fewer scores than the lone sweeps
+        assert evaluations < lone_evaluations
+
+    def test_chunk_budget_does_not_change_results(self, anxiety, monkeypatch):
+        config = GaConfig(population=60, restarts=2, seed=5)
+        truth = random_cpt(np.random.default_rng(7), (3, 2, 3))
+        searches = (
+            lambda: optimize_ici(anxiety, config),
+            lambda: optimize_sici_partition(anxiety, ((0, 3), (1, 2)), config),
+            lambda: optimize_sici_partition(truth, ((0, 2), (1,)), config),
+        )
+        whole = [search() for search in searches]
+        # every chunk a lone start
+        monkeypatch.setattr(optimizer, "_DESCENT_CHUNK_ELEMENTS", 1)
+        for search, want in zip(searches, whole):
+            got = search()
+            assert got.best_spec == want.best_spec
+            assert got.best_score == want.best_score
+            assert (got.evaluations, got.seed_used, got.generations_run) == (
+                want.evaluations,
+                want.seed_used,
+                want.generations_run,
+            )
 
     def test_same_seed_gives_bitwise_equal_specs(self, anxiety):
         config = GaConfig(population=50, restarts=3, seed=11)

@@ -474,15 +474,18 @@ class TestMechConfigProducts:
     @example(cards=[2, 2, 2, 3], seed=1)
     def test_matches_per_configuration_loop(self, cards, seed):
         rng = np.random.default_rng(seed)
-        tables = [rng.random((4, 5, k)) for k in cards]  # (population, rows, states)
+        tables = [rng.random((k, 5, 4)) for k in cards]  # (states, rows, population)
         joint = _mech_config_products(tables)
-        assert joint.shape == (4, 5, math.prod(cards))
+        assert joint.shape == (math.prod(cards), 5, 4)
         # configurations in mixed radix with mechanism 0 fastest, multiplied in mechanism order
         for j, config in enumerate(config_table(cards)):
-            expected = np.ones((4, 5))
+            expected = np.ones((5, 4))
             for b, s in enumerate(config):
-                expected = expected * tables[b][..., s]
-            assert np.array_equal(joint[..., j], expected)
+                expected = expected * tables[b][s]
+            assert np.array_equal(joint[j], expected)
+        # each member of the trailing batch axis gets the bits it gets alone
+        for i in range(4):
+            assert np.array_equal(joint[..., i], _mech_config_products([t[..., i] for t in tables]))
 
 
 class TestPici:
