@@ -55,7 +55,6 @@ from .refine import (
     pici_evaluate,
     prune_best,
     prune_groups,
-    scm_fit,
     sici_evaluate,
 )
 

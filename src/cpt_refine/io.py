@@ -22,6 +22,7 @@ with scores and probabilities printed at 4 decimal places.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -77,12 +78,13 @@ def load_cpt(path: str | Path) -> Cpt:
     if len(set(names)) != len(names):
         raise ValidationError(f"{path}: child and parent names must be distinct, got {names}")
     cards = tuple(v.cardinality for v in parents)
-    expected = config_table(cards)
-    if len(rows_doc) != expected.shape[0]:
+    # counted before the configuration table is built, which may not fit in memory
+    if len(rows_doc) != math.prod(cards):
         raise ValidationError(
-            f"{path}: {len(rows_doc)} rows, need {expected.shape[0]} (one per configuration)"
+            f"{path}: {len(rows_doc)} rows, need {math.prod(cards)} (one per configuration)"
         )
-    rows = np.empty((expected.shape[0], child.cardinality))
+    expected = config_table(cards)
+    rows = np.empty((len(rows_doc), child.cardinality))
     for k, entry in enumerate(rows_doc):
         if not isinstance(entry, dict):
             raise ValidationError(f"{path}: row {k + 1} must be a JSON object")

@@ -15,18 +15,20 @@ Four parts:
 
 * batched exact coordinate descent for ICI and SICI. ICI is US-SICI with
   singleton parent blocks, searched alone by ``optimize_ici`` and within the
-  SICI sweep as ``SiciSweep.ici``. The child is binary, so each row's P(Y=1)
-  is affine in every block's mechanism parameters, and each row reads one
-  parameter per block. With everything else fixed, a parameter's
-  least-absolute-deviation optimum is an exact weighted median (the
-  coordinate step of Wu & Lange, "Coordinate descent algorithms for lasso
-  penalized regression", Ann. Appl. Stat. 2008). A sweep first applies each
-  start's best improving single-bit combiner flip until none improves, then
-  refits the blocks in order. The objective has kinks where plain coordinate
-  descent stalls, so many seeded random starts run at once on the last axis
-  of the ``refine`` mechanism-product kernel's (configurations, rows, starts)
-  arrays; starts at a fixed point leave the batch. Identical seed and config
-  give bitwise-identical results. The sweep runs its partitions serially.
+  SICI sweep as ``SiciSweep.ici``; each such search is one
+  ``optimize_sici_partition`` call, which holds the guards. The child is
+  binary, so each row's P(Y=1) is affine in every block's mechanism
+  parameters, and each row reads one parameter per block. With everything else
+  fixed, a parameter's least-absolute-deviation optimum is an exact weighted
+  median (the coordinate step of Wu & Lange, "Coordinate descent algorithms
+  for lasso penalized regression", Ann. Appl. Stat. 2008). A sweep first
+  applies each start's best improving single-bit combiner flip until none
+  improves, then refits the blocks in order. The objective has kinks where
+  plain coordinate descent stalls, so many seeded random starts run at once on
+  the last axis of the ``refine`` mechanism-product kernel's (configurations,
+  rows, starts) arrays; starts at a fixed point leave the batch. Identical
+  seed and config give bitwise-identical results. The sweep runs its
+  partitions serially.
 
 * a seeded genetic algorithm over a mixed encoding (``ga_optimize``): binary
   tournament selection, uniform crossover (rate 0.8), elitism 5%, per-gene
@@ -62,7 +64,6 @@ from .refine import (
     _mech_joint,
     canonical_partition,
     evaluate_spec,
-    scm_fit,
 )
 
 ProgressFn = Callable[[int, float], None]
@@ -243,7 +244,7 @@ def scm_exact(truth: Cpt) -> SearchResult:
     assignment[order[split:]] = 1
     spec = ScmSpec((assignment ^ assignment[0]).tolist())
     # report the score from the exact refit so it matches re-scoring bitwise
-    fit = scm_fit(truth, spec)
+    fit = evaluate_spec(truth, spec)
     return SearchResult(spec, fit.score, n - 1, 0, 0, fit)
 
 
@@ -289,7 +290,7 @@ def scm_bruteforce(truth: Cpt, on_progress: ProgressFn | None = None) -> SearchR
     assignment = tuple((best_mask >> r) & 1 for r in range(n))
     spec = ScmSpec(assignment)
     # report the score from the exact refit so it matches re-scoring bitwise
-    fit = scm_fit(truth, spec)
+    fit = evaluate_spec(truth, spec)
     return SearchResult(spec, fit.score, total, 0, 0, fit)
 
 
@@ -415,10 +416,11 @@ def _ga_single_run(
 # count vary by 16% (interquartile range over median); with this floor, 4%.
 _MIN_SWEEP_GAIN = 1e-5
 
-# A sweep takes its live starts in chunks of at most this many elements of the
-# (2^m, rows, starts) joint: one chunk for every Anxiety and network batch of 300
-# (at most 16 x 24 x 300). At 12 binary parents a chunk's lone start, held twice,
-# needs 256 MiB per array (computed, not run), where 300 at once would need 40 GB.
+# Batch set-up and every sweep take starts in chunks of at most this many elements
+# of the (2^m, rows, starts) joint: one chunk for every Anxiety and network batch of
+# 300 (at most 16 x 24 x 300). Set-up of 300 starts over 8 binary parents peaks at
+# 3.8 MiB (tracemalloc), 301 MiB built whole. At 12 blocks, the most a search takes,
+# a lone start held twice needs 256 MiB per array (computed), 300 at once 40 GB.
 _DESCENT_CHUNK_ELEMENTS = 1 << 17
 
 
@@ -479,13 +481,24 @@ def _joint(structure: _Structure, mech: Sequence[np.ndarray], skip: int = -1) ->
     return _mech_joint([_binary_states(mech[b]) for b in keep], [structure.rows[b] for b in keep])
 
 
+def _chunks(structure: _Structure, idx: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``idx`` in chunks within ``_DESCENT_CHUNK_ELEMENTS``, each with its :func:`_wide` columns."""
+    width = max(1, _DESCENT_CHUNK_ELEMENTS // len(structure.t_yes) // (1 << len(structure.sizes)))
+    for lo in range(0, idx.size, width):
+        part = idx[lo : lo + width]
+        yield part, _wide(part)
+
+
 def _random_starts(structure: _Structure, rng: np.random.Generator, n: int) -> _Starts:
     """Uniform mechanism probabilities and combiner bits; configuration 0 maps to state 0.
     Each start is drawn as a row, then transposed, so a seed's starts keep their draw order."""
     mech = [np.ascontiguousarray(rng.random((n, size)).T) for size in structure.sizes]
     comb = np.zeros((1 << len(mech), n))
     comb[1:] = rng.integers(0, 2, size=(n, len(comb) - 1)).T
-    p_yes = (_joint(structure, mech) * comb[:, None, :]).sum(axis=0)
+    p_yes = np.empty((len(structure.t_yes), n))
+    for idx, cols in _chunks(structure, np.arange(n)):
+        joint = _joint(structure, [np.take(m, cols, axis=1) for m in mech])
+        p_yes[:, idx] = (joint * np.take(comb, cols, axis=1)[:, None, :]).sum(axis=0)[:, : idx.size]
     return _Starts(mech, comb, p_yes, np.abs(p_yes - structure.t_yes).sum(axis=0))
 
 
@@ -586,7 +599,6 @@ def _descend(
     """
     starts = _random_starts(structure, np.random.default_rng(seed), config.population)
     evaluations = config.population
-    width = max(1, _DESCENT_CHUNK_ELEMENTS // starts.p_yes.shape[0] // len(starts.comb))
     live = np.arange(config.population)
     best = float(starts.score.min())
     sweeps = 0
@@ -594,9 +606,7 @@ def _descend(
     while sweeps < config.max_generations and live.size:
         sweeps += 1
         moving = []
-        for lo in range(0, live.size, width):
-            idx = live[lo : lo + width]
-            cols = _wide(idx)
+        for idx, cols in _chunks(structure, live):
             chunk = starts.take(cols)
             # a lone start held twice is swept twice; count it once
             evaluations += _sweep(structure, chunk) * idx.size // cols.size
@@ -624,12 +634,16 @@ def optimize_sici_partition(
     ``on_progress`` receives (candidate scores so far, the batch's best)
     after each sweep. The result carries the best spec's re-scored fit, so
     its score equals what :func:`evaluate_spec` gives for that spec bitwise.
+    Every ICI and SICI search runs here, so it holds their guards, among them
+    at most 12 blocks (a combiner over 2^blocks entries; SearchSpaceError).
     """
     if truth.child.cardinality != 2:
         raise ValidationError("the SICI objective requires a binary child")
     part = canonical_partition(partition)
     if not part:
         raise ValidationError("the SICI objective needs at least one parent")
+    if len(part) > 12:
+        raise SearchSpaceError(f"{len(part)} parent blocks, more than the 12 supported")
     _check_covers(part, len(truth.parents))
     structure = _Structure.of(truth, part)
     best: tuple[float, _Starts, int, int] | None = None
@@ -650,20 +664,15 @@ def optimize_sici_partition(
     return SearchResult(spec, fit.score, evaluations, seed, sweeps, fit)
 
 
-def optimize_ici(
-    truth: Cpt, config: GaConfig, on_progress: ProgressFn | None = None
-) -> SearchResult:
+def optimize_ici(truth: Cpt, config: GaConfig) -> SearchResult:
     """Coordinate-descent search of the ICI model: one binary mechanism per parent.
 
     It searches US-SICI with every parent in a block of its own: a combiner
     over the 2^n mechanism configurations (configuration 0 pinned to child
     state 0) and one probability per parent state.
     """
-    n = len(truth.parents)
-    if n > 12:
-        raise SearchSpaceError(f"{n} parents means 2^{n} combiner entries; not supported")
-    singletons = tuple((i,) for i in range(n))
-    return _as_ici(optimize_sici_partition(truth, singletons, config, on_progress))
+    singletons = tuple((i,) for i in range(len(truth.parents)))
+    return _as_ici(optimize_sici_partition(truth, singletons, config))
 
 
 def _as_ici(result: SearchResult) -> SearchResult:

@@ -13,7 +13,9 @@ Each grouping is an integer label per row (rows with equal labels share):
 ``prune_best`` and ``divorce_best`` search the first two exhaustively. The
 divorce search scores all (gate, binarization) candidates of one parent
 subset together, reading every group's median from one sort of the truth,
-and only its winner is expanded into a CPT.
+and only its winner is expanded into a CPT. ``evaluate_spec`` is the one path
+from any spec to a reported fit (a grouping spec's row labels are fitted,
+expanded and scored once), and every search reports it for its winner.
 
 The remaining two are causal-interaction models evaluated forward from a
 small set of mechanism parameters; their rows are generally all distinct and
@@ -336,23 +338,13 @@ def _binarizations(card: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _fit_and_score(truth: Cpt, labels: np.ndarray) -> tuple[Cpt, float]:
-    approx = expand_grouped(truth, fit_grouping(truth, labels))
-    return approx, score_sum_tvd(truth, approx)
-
-
 def prune_best(truth: Cpt) -> tuple[PruneSpec, ApproxResult]:
     """Best single-parent prune under sum-TVD; ties go to the lowest index."""
     if len(truth.parents) < 2:
         raise ValidationError("pruning needs at least 2 parents")
-    best: tuple[PruneSpec, ApproxResult] | None = None
-    for p in range(len(truth.parents)):
-        spec = PruneSpec(p)
-        approx, score = _fit_and_score(truth, prune_groups(truth.parent_cards, spec))
-        if best is None or score < best[1].score:
-            free, _ = param_savings(spec, truth.parent_cards, truth.child.cardinality)
-            best = (spec, ApproxResult(approx, score, free))
-    return best
+    specs = map(PruneSpec, range(len(truth.parents)))
+    # min keeps the first of equal scores
+    return min(((s, evaluate_spec(truth, s)) for s in specs), key=lambda fit: fit[1].score)
 
 
 def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxResult]:
@@ -379,9 +371,7 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
     choices = [_binarizations(cards[i]) for i in subset]
     gate, *picks = np.unravel_index(c, (len(GATES), *map(len, choices)))
     spec = DivorceSpec(subset, GATES[gate], [ch[j] for ch, j in zip(choices, picks)])
-    approx, score = _fit_and_score(truth, divorce_groups(cards, spec))
-    free, _ = param_savings(spec, cards, truth.child.cardinality)
-    return spec, ApproxResult(approx, score, free)
+    return spec, evaluate_spec(truth, spec)
 
 
 # Candidates of one subset are scored in chunks of at most this many
@@ -468,17 +458,6 @@ def _divorce_subset_scores(truth: Cpt, subset: tuple[int, ...]) -> np.ndarray:
         diff = np.abs(truth.rows - np.take(params, labels, axis=0)).reshape(n_cand, -1)
         scores[start:start + n_cand] = 0.5 * diff.sum(axis=1)
     return scores
-
-
-def scm_fit(truth: Cpt, spec: ScmSpec) -> ApproxResult:
-    """Median-fit the two row blocks of a simple-canonical-model bipartition."""
-    if len(spec.assignment) != truth.n_rows:
-        raise ShapeMismatchError(
-            f"assignment covers {len(spec.assignment)} rows, CPT has {truth.n_rows}"
-        )
-    approx, score = _fit_and_score(truth, np.asarray(spec.assignment))
-    free, _ = param_savings(spec, truth.parent_cards, truth.child.cardinality)
-    return ApproxResult(approx, score, free)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +620,7 @@ def sici_evaluate(child: Variable, parents: Sequence[Variable], spec: SiciSpec) 
 
 
 # ---------------------------------------------------------------------------
-# Parameter accounting
+# Parameter accounting and the one fit path of every spec
 # ---------------------------------------------------------------------------
 
 
@@ -677,6 +656,21 @@ def param_savings(
     return free, full - free
 
 
+def _row_labels(truth: Cpt, spec: RefinementSpec) -> np.ndarray:
+    """The row grouping of a prune, divorce or SCM spec: one integer label per CPT row."""
+    if isinstance(spec, PruneSpec):
+        return prune_groups(truth.parent_cards, spec)
+    if isinstance(spec, DivorceSpec):
+        return divorce_groups(truth.parent_cards, spec)
+    if isinstance(spec, ScmSpec):
+        if len(spec.assignment) != truth.n_rows:
+            raise ShapeMismatchError(
+                f"assignment covers {len(spec.assignment)} rows, CPT has {truth.n_rows}"
+            )
+        return np.asarray(spec.assignment)
+    raise ValidationError(f"unknown spec type {type(spec).__name__}")
+
+
 def evaluate_spec(truth: Cpt, spec: RefinementSpec) -> ApproxResult:
     """Expand any refinement spec against a truth CPT and score it.
 
@@ -684,17 +678,9 @@ def evaluate_spec(truth: Cpt, spec: RefinementSpec) -> ApproxResult:
     parametric models (ICI / SICI) are evaluated forward from their stored
     parameters.
     """
-    cards = truth.parent_cards
-    if isinstance(spec, PruneSpec):
-        approx, score = _fit_and_score(truth, prune_groups(cards, spec))
-    elif isinstance(spec, DivorceSpec):
-        approx, score = _fit_and_score(truth, divorce_groups(cards, spec))
-    elif isinstance(spec, ScmSpec):
-        return scm_fit(truth, spec)
-    elif isinstance(spec, SiciSpec):
+    if isinstance(spec, SiciSpec):
         approx = sici_evaluate(truth.child, truth.parents, spec)
-        score = score_sum_tvd(truth, approx)
     else:
-        raise ValidationError(f"unknown spec type {type(spec).__name__}")
-    free, _ = param_savings(spec, cards, truth.child.cardinality)
-    return ApproxResult(approx, score, free)
+        approx = expand_grouped(truth, fit_grouping(truth, _row_labels(truth, spec)))
+    free, _ = param_savings(spec, truth.parent_cards, truth.child.cardinality)
+    return ApproxResult(approx, score_sum_tvd(truth, approx), free)

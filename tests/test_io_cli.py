@@ -130,6 +130,15 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# 48 binary parents and no rows: a configuration table for it would take 96 PiB
+_NO_ROWS_48_PARENTS = json.dumps({
+    "format": 1,
+    "child": {"name": "Y", "states": ["n", "y"]},
+    "parents": [{"name": f"X{i}", "states": ["n", "y"]} for i in range(48)],
+    "rows": [],
+})
+
+
 class TestScoreCommand:
     @pytest.mark.parametrize(
         "column, expected",
@@ -193,11 +202,12 @@ class TestScoreCommand:
             _anxiety_with(lambda doc: doc["parents"][1].update(name="Depression")),
             _anxiety_with(lambda doc: doc["rows"][0].update(probs=[True, False])),
             _anxiety_with(lambda doc: doc.update(format=True)),
+            _NO_ROWS_48_PARENTS,
         ],
         ids=["empty-object", "nan-probability", "list-document", "non-object-row",
              "string-probabilities", "non-list-parents", "non-list-rows",
              "huge-integer-probability", "huge-integer-literal", "duplicate-parent-names",
-             "boolean-probabilities", "boolean-format"],
+             "boolean-probabilities", "boolean-format", "48-parents-no-rows"],
     )
     def test_validation_failure_exits_2(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -368,6 +378,19 @@ class TestMethodCommands:
         code, _, err = _run(capsys, ["sici", str(truth_path), "--restarts", "1"])
         assert code == 2
         assert "at least 2 parents" in err
+
+    def test_sici_partition_of_thirteen_blocks_exits_4(self, capsys, tmp_path, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran past the search-space guard")
+
+        monkeypatch.setattr("cpt_refine.optimizer._descend", no_search)
+        parents = tuple(Variable(f"X{i}", ("n", "y")) for i in range(13))
+        truth_path = tmp_path / "thirteen.json"
+        save_cpt(Cpt(Variable("Y", ("n", "y")), parents, np.full((1 << 13, 2), 0.5)), truth_path)
+        partition = "|".join(v.name for v in parents)
+        code, _, err = _run(capsys, ["sici", str(truth_path), "--partition", partition])
+        assert code == 4
+        assert "13 parent blocks" in err
 
     def test_negative_seed_exits_2(self, capsys):
         code, _, err = _run(capsys, ["ici", str(fixture_path("anxiety")), "--seed", "-1"])

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cpt_refine import (
     ScmSpec,
     SiciSpec,
     Variable,
+    divorce_best,
     enumerate_bipartitions,
     enumerate_set_partitions,
     evaluate_spec,
@@ -23,9 +25,9 @@ from cpt_refine import (
     optimize_ici,
     optimize_sici,
     optimize_sici_partition,
+    prune_best,
     scm_bruteforce,
     scm_exact,
-    scm_fit,
     sici_evaluate,
 )
 from cpt_refine import optimizer
@@ -121,7 +123,7 @@ class TestScmBruteforce:
             assignment = [0] * truth.n_rows
             for r in block_b:
                 assignment[r] = 1
-            oracle = min(oracle, scm_fit(truth, ScmSpec(tuple(assignment))).score)
+            oracle = min(oracle, evaluate_spec(truth, ScmSpec(tuple(assignment))).score)
         assert result.best_score == pytest.approx(oracle, abs=1e-12)
 
     def test_never_beaten_by_random_bipartitions(self):
@@ -132,7 +134,7 @@ class TestScmBruteforce:
             assignment = rng.integers(0, 2, size=truth.n_rows)
             if assignment.min() == assignment.max():
                 continue
-            assert best <= scm_fit(truth, ScmSpec(tuple(assignment))).score + 1e-12
+            assert best <= evaluate_spec(truth, ScmSpec(tuple(assignment))).score + 1e-12
 
     def test_progress_callback_runs(self):
         rng = np.random.default_rng(1)
@@ -177,7 +179,7 @@ class TestScmExact:
         if not repeated:
             assert exact.best_spec == oracle.best_spec
         assert exact.evaluations == n - 1
-        assert exact.best_score == scm_fit(truth, exact.best_spec).score
+        assert exact.best_score == evaluate_spec(truth, exact.best_spec).score
         assert exact.best_spec.assignment[0] == 0
 
     def test_reference_optimum_on_benchmark(self, anxiety):
@@ -197,7 +199,7 @@ class TestScmExact:
             assignment = rng.integers(0, 2, size=truth.n_rows)
             if assignment.min() == assignment.max():
                 continue
-            assert result.best_score <= scm_fit(truth, ScmSpec(tuple(assignment))).score + 1e-12
+            assert result.best_score <= evaluate_spec(truth, ScmSpec(tuple(assignment))).score + 1e-12
 
     def test_binary_child_required(self):
         truth = random_cpt(np.random.default_rng(3), (2, 2), child_card=3)
@@ -352,17 +354,26 @@ class TestOptimizeSici:
     def test_reported_score_equals_rescoring(self, anxiety):
         # the descent's own readout of P(Y=1) differs from re-scoring in the last bits
         config = GaConfig(population=40, max_generations=30, restarts=1, seed=0)
-        for result in (
-            optimize_ici(anxiety, config),
-            optimize_sici_partition(anxiety, ((0,), (1, 2, 3)), config),
-            scm_exact(anxiety),
-        ):
-            rescored = evaluate_spec(anxiety, result.best_spec)
-            assert result.best_score == rescored.score
+        reported = [
+            (anxiety, result.best_spec, result.best_score, result.fit)
+            for result in (
+                optimize_ici(anxiety, config),
+                optimize_sici_partition(anxiety, ((0,), (1, 2, 3)), config),
+                scm_exact(anxiety),
+            )
+        ]
+        # the grouping searches, also on a table with a 3-state child
+        three_state = random_cpt(np.random.default_rng(15), (3, 2, 2), child_card=3)
+        for truth in (anxiety, three_state):
+            for spec, fit in (prune_best(truth), divorce_best(truth)):
+                reported.append((truth, spec, fit.score, fit))
+        for truth, spec, score, fit in reported:
+            rescored = evaluate_spec(truth, spec)
+            assert score == rescored.score
             # the search hands its fit on, so callers need not fit the spec again
-            assert result.fit.score == rescored.score
-            assert result.fit.free_params == rescored.free_params
-            assert np.array_equal(result.fit.cpt.rows, rescored.cpt.rows)
+            assert fit.score == rescored.score
+            assert fit.free_params == rescored.free_params
+            assert fit.cpt.rows.tobytes() == rescored.cpt.rows.tobytes()
 
     def test_recovers_realizable_us_sici(self):
         parents = _bin_parents(3)
@@ -417,6 +428,31 @@ class TestOptimizeSici:
         for partition in (((1,),), ((0, 1), (2,))):
             with pytest.raises(ShapeMismatchError, match="cover exactly the parents"):
                 optimize_sici_partition(anxiety, partition, config)
+
+
+class TestSearchSpaceGuards:
+    """Every ICI/SICI search refuses more than 12 parent blocks before it searches."""
+
+    @pytest.fixture
+    def thirteen_parents(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran past the search-space guard")
+
+        monkeypatch.setattr(optimizer, "_descend", no_search)
+        return Cpt(BIN, _bin_parents(13), np.full((1 << 13, 2), 0.5))
+
+    def test_ici(self, thirteen_parents):
+        with pytest.raises(SearchSpaceError):
+            optimize_ici(thirteen_parents, GaConfig(restarts=1))
+
+    def test_sici_sweep(self, thirteen_parents):
+        with pytest.raises(SearchSpaceError):
+            optimize_sici(thirteen_parents, GaConfig(restarts=1))
+
+    def test_sici_partition_of_thirteen_singletons(self, thirteen_parents):
+        singletons = tuple((i,) for i in range(13))
+        with pytest.raises(SearchSpaceError, match="13 parent blocks"):
+            optimize_sici_partition(thirteen_parents, singletons, GaConfig(restarts=1))
 
 
 def _random_structure(rng):
@@ -579,6 +615,23 @@ class TestCoordinateDescent:
                 want.seed_used,
                 want.generations_run,
             )
+
+    def test_batch_set_up_keeps_the_chunk_budget(self, monkeypatch):
+        # built whole, the batch's (64, 64, 300) joint takes 9.4 MiB per copy
+        truth = random_cpt(np.random.default_rng(16), (2,) * 6)
+        structure = optimizer._Structure.of(truth, [(i,) for i in range(6)])
+        tracemalloc.start()
+        try:
+            chunked = optimizer._random_starts(structure, np.random.default_rng(0), 300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+        # and the chunks give the bits of one chunk
+        monkeypatch.setattr(optimizer, "_DESCENT_CHUNK_ELEMENTS", 1 << 30)
+        whole = optimizer._random_starts(structure, np.random.default_rng(0), 300)
+        assert chunked.p_yes.tobytes() == whole.p_yes.tobytes()
+        assert chunked.score.tobytes() == whole.score.tobytes()
 
     def test_same_seed_gives_bitwise_equal_specs(self, anxiety):
         config = GaConfig(population=50, restarts=3, seed=11)

@@ -31,7 +31,6 @@ from cpt_refine import (
     pici_evaluate,
     prune_best,
     prune_groups,
-    scm_fit,
     score_sum_tvd,
     sici_evaluate,
 )
@@ -374,7 +373,7 @@ class TestScmFit:
         assignment = [0] * 24
         for row in (7, 8, 16, 19, 21, 22, 23, 24):
             assignment[row - 1] = 1
-        result = scm_fit(anxiety, ScmSpec(tuple(assignment)))
+        result = evaluate_spec(anxiety, ScmSpec(tuple(assignment)))
         assert result.score == pytest.approx(1.2693, abs=2e-3)
         assert result.free_params == 2
         values = {round(p, 4) for p in result.cpt.rows[:, 0]}
@@ -385,14 +384,14 @@ class TestScmFit:
         truth_rows = np.array([[1, 0], [1, 0], [1, 0], [0, 1]], dtype=float)
         truth = Cpt(BIN, binary_parents(2), truth_rows)
         assignment = tuple(int(k == 3) for k in range(4))
-        result = scm_fit(truth, ScmSpec(assignment))
+        result = evaluate_spec(truth, ScmSpec(assignment))
         assert result.score == 0.0
         assert np.array_equal(result.cpt.rows, truth_rows)
 
     def test_matches_direct_recomputation(self, anxiety):
         threshold = np.median(anxiety.rows[:, 0])
         assignment = tuple(int(p < threshold) for p in anxiety.rows[:, 0])
-        result = scm_fit(anxiety, ScmSpec(assignment))
+        result = evaluate_spec(anxiety, ScmSpec(assignment))
         direct = 0.0
         for block in (0, 1):
             rows = [k for k, a in enumerate(assignment) if a == block]
@@ -794,6 +793,10 @@ class TestEvaluateSpec:
         assert np.abs(result.cpt.rows - method_columns["pruning"].rows).max() <= 5e-5 + 1e-12
         result = evaluate_spec(anxiety, DivorceSpec((1, 3), "AND", ((1,), (2,))))
         assert np.abs(result.cpt.rows - method_columns["divorcing"].rows).max() <= 5e-5 + 1e-12
+
+    def test_scm_assignment_must_cover_every_row(self, anxiety):
+        with pytest.raises(ShapeMismatchError, match="assignment covers 23 rows, CPT has 24"):
+            evaluate_spec(anxiety, ScmSpec((0, 1) * 11 + (1,)))
 
     def test_covers_noisy_average_pici(self):
         # a PICI spec with 3-state mechanisms and a 3-state child scores through
