@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import shutil
 import sys
@@ -73,8 +74,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         out = getattr(args, "out", None)
-        if out and not Path(out).parent.is_dir():  # fail before any search runs
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+        if out:  # fail before any search runs, naming the path as given
+            if Path(out).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+            if not Path(out).parent.is_dir():
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         return args.func(args)
     except ShapeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -87,7 +91,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused: parsing keeps
+    no state in it (``--map`` appends to a copy of its default list)."""
     parser = argparse.ArgumentParser(
         prog="cpt-refine",
         description="Approximate a CPT through structural refinement methods.",

@@ -29,6 +29,12 @@ from .errors import ShapeMismatchError, ValidationError
 _RENORM_EPS = 1e-12
 
 
+def in_unit_interval(probs: np.ndarray) -> np.ndarray:
+    """Elementwise: does each probability lie in [0, 1], up to 1e-12?"""
+    # written so that NaN, which fails every comparison, is out of range too
+    return (probs >= -_RENORM_EPS) & (probs <= 1 + _RENORM_EPS)
+
+
 @dataclass(frozen=True)
 class Variable:
     """A named discrete variable with an ordered list of state labels."""
@@ -76,8 +82,7 @@ class Cpt:
             raise ValidationError(
                 f"rows must have shape ({n_rows}, {child.cardinality}), got {arr.shape}"
             )
-        # written so that NaN, which fails every comparison, is rejected too
-        if not np.all((arr >= -_RENORM_EPS) & (arr <= 1 + _RENORM_EPS)):
+        if not np.all(in_unit_interval(arr)):
             raise ValidationError("probabilities must lie in [0, 1]")
         sums = arr.sum(axis=1)
         dev = np.abs(sums - 1.0)

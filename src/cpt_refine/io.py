@@ -13,8 +13,12 @@ The JSON document schema (``"format": 1``)::
     }
 
 Rows must cover every parent configuration exactly once, in canonical order
-(first listed parent varying fastest). Probabilities are stored at full
-float precision so save(load(x)) round-trips byte-identically. Reports are
+(first listed parent varying fastest). The loader validates a document in
+one pass over its rows and checks all their probabilities as one array; an
+error names the first faulty row. The writer lays the document out as
+``json.dumps(document, indent=2)`` does, writing the text directly.
+Probabilities are stored at full float precision so save(load(x))
+round-trips byte-identically. Reports are
 CSV (comma separated, header row, UTF-8, LF) plus an aligned text table,
 with scores and probabilities printed at 4 decimal places.
 """
@@ -32,12 +36,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cpt import Cpt, Variable, config_table
+from .cpt import Cpt, Variable, config_table, in_unit_interval
 from .errors import ValidationError
 
 SCHEMA_FORMAT = 1
 LOAD_TOLERANCE = 1e-6
 WARN_TOLERANCE = 1e-9
+_NUMBER_TYPES = frozenset((int, float))  # what JSON numbers load as; bool is not one
 
 
 def _config_labels(cpt_parents: Sequence[Variable], state_row: Sequence[int]) -> str:
@@ -51,12 +56,48 @@ def _parse_variable(obj, what: str) -> Variable:
         raise ValidationError(f"malformed {what} entry: {exc}") from exc
 
 
+def _row_fault(
+    parents: Sequence[Variable],
+    indices_of: Sequence[dict[str, int]],
+    want: list[int],
+    n_probs: int,
+    entry,
+) -> str | None:
+    """What is structurally wrong with one row entry, as the tail of a message that
+    starts with its row number, or None. ``want`` is its canonical configuration."""
+    if not isinstance(entry, dict):
+        return " must be a JSON object"
+    config = entry.get("config")
+    probs = entry.get("probs")
+    if not isinstance(config, list) or not isinstance(probs, list):
+        return " needs 'config' and 'probs' lists"
+    if len(config) != len(parents):
+        return f" config has {len(config)} entries"
+    try:
+        indices = [index[label] for index, label in zip(indices_of, config)]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        v, label = next((v, x) for v, x in zip(parents, config) if x not in v.states)
+        return f": unknown state {label!r} for {v.name}"
+    if indices != want:
+        return (
+            f" is ({_config_labels(parents, indices)}); canonical order (first parent "
+            f"fastest) expects ({_config_labels(parents, want)}) here - rows must cover "
+            "every configuration exactly once in canonical order"
+        )
+    if len(probs) != n_probs:
+        return f" ({_config_labels(parents, want)}) has {len(probs)} probabilities, need {n_probs}"
+    if not _NUMBER_TYPES.issuperset(map(type, probs)):
+        return f" ({_config_labels(parents, want)}) probabilities must be numbers"
+    return None
+
+
 def load_cpt(path: str | Path) -> Cpt:
     """Load and validate a CPT document.
 
-    Errors name the offending configuration. Rows whose probabilities sum to
-    1 within 1e-6 are accepted (renormalised, with a warning when off by
-    more than 1e-9); anything worse is rejected.
+    Errors name the offending row and configuration; a document with several
+    faults reports its first faulty row. Rows whose probabilities lie in
+    [0, 1] and sum to 1 within 1e-6 are accepted (renormalised, with a
+    warning when off by more than 1e-9); anything worse is rejected.
     """
     path = Path(path)
     try:
@@ -83,75 +124,86 @@ def load_cpt(path: str | Path) -> Cpt:
         raise ValidationError(
             f"{path}: {len(rows_doc)} rows, need {math.prod(cards)} (one per configuration)"
         )
-    expected = config_table(cards)
-    rows = np.empty((len(rows_doc), child.cardinality))
+    expected = config_table(cards).tolist()
+    labels = lambda k: _config_labels(parents, expected[k])
+    indices_of = [{label: i for i, label in enumerate(v.states)} for v in parents]
+    n_probs = child.cardinality
+
+    # one pass: rows are checked up to the first structurally faulty one, and the
+    # probabilities of the rows before it are checked together, in row order
+    table = []
+    fault = None  # (row index, message tail) of the first faulty row found
     for k, entry in enumerate(rows_doc):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{path}: row {k + 1} must be a JSON object")
-        config = entry.get("config")
-        probs = entry.get("probs")
-        if not isinstance(config, list) or not isinstance(probs, list):
-            raise ValidationError(f"{path}: row {k + 1} needs 'config' and 'probs' lists")
-        if len(config) != len(parents):
-            raise ValidationError(f"{path}: row {k + 1} config has {len(config)} entries")
-        indices = []
-        for v, label in zip(parents, config):
-            if label not in v.states:
-                raise ValidationError(
-                    f"{path}: row {k + 1}: unknown state {label!r} for {v.name}"
-                )
-            indices.append(v.states.index(label))
-        want = _config_labels(parents, expected[k])
-        if indices != list(expected[k]):
-            raise ValidationError(
-                f"{path}: row {k + 1} is ({_config_labels(parents, indices)}); canonical "
-                f"order (first parent fastest) expects ({want}) here - rows must cover "
-                "every configuration exactly once in canonical order"
-            )
-        if len(probs) != child.cardinality:
-            raise ValidationError(
-                f"{path}: row {k + 1} ({want}) has {len(probs)} probabilities, "
-                f"need {child.cardinality}"
-            )
-        if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs):
-            raise ValidationError(f"{path}: row {k + 1} ({want}) probabilities must be numbers")
-        try:
-            vec = np.asarray(probs, dtype=np.float64)
-        except OverflowError as exc:
-            raise ValidationError(f"{path}: row {k + 1} ({want}) probabilities: {exc}") from exc
-        dev = abs(float(vec.sum()) - 1.0)
-        if dev > LOAD_TOLERANCE:
-            raise ValidationError(
-                f"{path}: row {k + 1} ({want}) sums to {vec.sum():.6g}, not 1"
-            )
-        if dev > WARN_TOLERANCE:
-            warnings.warn(
-                f"{path}: row {k + 1} ({want}) off by {dev:.2e}; renormalising",
-                stacklevel=2,
-            )
-        rows[k] = vec
-    return Cpt(child, parents, rows, tolerance=LOAD_TOLERANCE)
+        tail = _row_fault(parents, indices_of, expected[k], n_probs, entry)
+        if tail is not None:
+            fault = (k, tail)
+            break
+        table.append(entry["probs"])
+    try:
+        probs = np.array(table, dtype=np.float64).reshape(len(table), n_probs)
+    except OverflowError:  # an integer too large for a float: find its row
+        for k, row in enumerate(table):
+            try:
+                np.array(row, dtype=np.float64)
+            except OverflowError as exc:
+                fault = (k, f" ({labels(k)}) probabilities: {exc}")
+                break
+        probs = np.array(table[:k], dtype=np.float64).reshape(k, n_probs)
+    sums = probs.sum(axis=1)
+    dev = np.abs(sums - 1.0)
+    bad = (dev > LOAD_TOLERANCE) | ~in_unit_interval(probs).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if dev[k] > LOAD_TOLERANCE:
+            fault = (k, f" ({labels(k)}) sums to {sums[k]:.6g}, not 1")
+        else:  # out of range or NaN
+            fault = (k, f" ({labels(k)}) probabilities {table[k]} must lie in [0, 1]")
+    n_checked = len(probs) if fault is None else fault[0]
+    for k in np.flatnonzero(dev[:n_checked] > WARN_TOLERANCE):
+        warnings.warn(
+            f"{path}: row {k + 1} ({labels(k)}) off by {dev[k]:.2e}; renormalising",
+            stacklevel=2,
+        )
+    if fault is not None:
+        raise ValidationError(f"{path}: row {fault[0] + 1}{fault[1]}")
+    return Cpt(child, parents, probs, tolerance=LOAD_TOLERANCE)
 
 
-def cpt_to_document(cpt: Cpt) -> dict:
-    states = config_table(cpt.parent_cards)
-    return {
-        "format": SCHEMA_FORMAT,
-        "child": {"name": cpt.child.name, "states": list(cpt.child.states)},
-        "parents": [{"name": v.name, "states": list(v.states)} for v in cpt.parents],
-        "rows": [
-            {
-                "config": [v.states[s] for v, s in zip(cpt.parents, states[k])],
-                "probs": cpt.rows[k].tolist(),
-            }
-            for k in range(cpt.n_rows)
-        ],
-    }
+def _block(open_: str, items: Sequence[str], close: str, indent: str) -> str:
+    """Encoded items in a JSON array or object at ``indent``, laid out as
+    ``json.dumps(indent=2)`` lays them out."""
+    if not items:
+        return open_ + close
+    return f"{open_}\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}{close}"
+
+
+def _variable_text(v: Variable, indent: str) -> str:
+    states = _block("[", [json.dumps(s) for s in v.states], "]", indent + "  ")
+    return _block("{", [f'"name": {json.dumps(v.name)}', f'"states": {states}'], "}", indent)
 
 
 def save_cpt(cpt: Cpt, path: str | Path) -> None:
-    """Write a CPT document atomically (temp file then rename)."""
-    atomic_write_text(Path(path), json.dumps(cpt_to_document(cpt), indent=2) + "\n")
+    """Write a CPT document atomically (temp file then rename).
+
+    The text is ``json.dumps(document, indent=2)`` and a final newline,
+    written directly: each label is encoded once, and each probability is
+    its ``float.__repr__``, as in ``json``.
+    """
+    labels = [[json.dumps(s) for s in v.states] for v in cpt.parents]
+    rows = [
+        _block("{", [
+            '"config": ' + _block("[", [labels[i][s] for i, s in enumerate(config)], "]", "      "),
+            '"probs": ' + _block("[", list(map(float.__repr__, probs)), "]", "      "),
+        ], "}", "    ")
+        for config, probs in zip(config_table(cpt.parent_cards).tolist(), cpt.rows.tolist())
+    ]
+    text = _block("{", [
+        f'"format": {SCHEMA_FORMAT}',
+        f'"child": {_variable_text(cpt.child, "  ")}',
+        '"parents": ' + _block("[", [_variable_text(v, "    ") for v in cpt.parents], "]", "  "),
+        '"rows": ' + _block("[", rows, "]", "  "),
+    ], "}", "")
+    atomic_write_text(Path(path), text + "\n")
 
 
 def atomic_write_text(path: Path, text: str) -> None:

@@ -1,6 +1,8 @@
 """Documents, reports, and the command-line interface."""
 
+import errno
 import json
+import os
 import warnings
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from cpt_refine import (
     Cpt, GaConfig, Variable, load_cpt, optimize_sici, save_cpt, score_sum_tvd
 )
-from cpt_refine.cli import main
+from cpt_refine.cli import build_parser, main
+from cpt_refine.cpt import config_table
 from cpt_refine.errors import ValidationError
 from cpt_refine.fixtures import FIXTURE_NAMES, fixture_path
 
@@ -46,6 +49,41 @@ class TestDocuments:
         save_cpt(cpt, first)
         save_cpt(load_cpt(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_writer_matches_json_dumps_indent_2(self, tmp_path, data):
+        # labels with quotes, backslashes, non-ASCII and control characters
+        label = st.text(st.sampled_from('a"\\é\x00\n\t\x7f€😀') | st.characters(), max_size=4)
+
+        def variable(name, n_states):
+            return Variable(name, tuple(data.draw(
+                st.lists(label, min_size=n_states, max_size=n_states, unique=True))))
+
+        cards = data.draw(st.lists(st.integers(2, 3), max_size=3), label="cards")
+        parents = tuple(variable(data.draw(label), c) for c in cards)
+        child = variable(data.draw(label), data.draw(st.integers(2, 4), label="child states"))
+        special = st.sampled_from([0.0, 5e-324, 0.1, 1e-17, 0.25])
+        rows = []
+        for _ in range(int(np.prod(cards))):
+            head = data.draw(st.lists(special | st.floats(0, 1 / child.cardinality),
+                                      min_size=child.cardinality - 1,
+                                      max_size=child.cardinality - 1))
+            rows.append([*head, 1.0 - sum(head)])
+        cpt = Cpt(child, parents, rows)
+        reference = {
+            "format": 1,
+            "child": {"name": child.name, "states": list(child.states)},
+            "parents": [{"name": v.name, "states": list(v.states)} for v in parents],
+            "rows": [
+                {"config": [v.states[s] for v, s in zip(parents, config)], "probs": probs}
+                for config, probs in zip(config_table(cards).tolist(), cpt.rows.tolist())
+            ],
+        }
+        out = tmp_path / "written.json"
+        save_cpt(cpt, out)
+        assert out.read_bytes() == (json.dumps(reference, indent=2) + "\n").encode("utf-8")
 
     def _doc(self):
         return json.loads(fixture_path("anxiety").read_text())
@@ -85,6 +123,48 @@ class TestDocuments:
         doc = self._doc()
         doc["rows"][0]["probs"] = [1.0]
         self._expect_error(doc, tmp_path, "1 probabilities")
+
+    @pytest.mark.parametrize("sum_row, unknown_row", [(2, 5), (5, 2)])
+    def test_first_faulty_row_is_reported(self, tmp_path, sum_row, unknown_row):
+        doc = self._doc()
+        doc["rows"][sum_row]["probs"] = [0.5, 0.3]
+        doc["rows"][unknown_row]["config"][0] = "Maybe"
+        first = min(sum_row, unknown_row)
+        self._expect_error(doc, tmp_path, f"row {first + 1}[ :]")
+
+    @pytest.mark.parametrize(
+        "probs, match",
+        [
+            ([-0.5, 1.5], r"row 7 \(Depression=No, Hypertension=Yes, Sex=Male, "
+                          r"SleepDuration=6-9hours\) probabilities \[-0\.5, 1\.5\] must lie in \[0, 1\]"),
+            ([float("nan"), 0.5], r"row 7 \(.*SleepDuration=6-9hours\) probabilities \[nan, 0\.5\]"),
+            ([float("inf"), 0.5], r"row 7 \(.*\) sums to inf, not 1"),
+        ],
+        ids=["out-of-range", "nan", "infinity"],
+    )
+    def test_bad_probabilities_name_path_and_row(self, tmp_path, probs, match):
+        doc = self._doc()
+        doc["rows"][6]["probs"] = probs
+        self._expect_error(doc, tmp_path, r"bad\.json: " + match)
+
+    def test_huge_integer_probability_names_its_row(self, tmp_path):
+        doc = self._doc()
+        doc["rows"][4]["probs"] = [10**400, 0]
+        self._expect_error(doc, tmp_path, r"row 5 \(.*Male.*\) probabilities: int too large")
+
+    def test_small_deviations_warn_in_row_order(self, tmp_path):
+        doc = self._doc()
+        for k in (3, 1):
+            doc["rows"][k]["probs"][0] += 5e-8
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_cpt(path)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 2
+        assert "row 2 (" in messages[0] and "row 4 (" in messages[1]
+        assert all("off by 5.00e-08; renormalising" in m for m in messages)
 
     def test_small_deviation_warns_and_renormalises(self, tmp_path):
         doc = self._doc()
@@ -203,11 +283,14 @@ class TestScoreCommand:
             _anxiety_with(lambda doc: doc["rows"][0].update(probs=[True, False])),
             _anxiety_with(lambda doc: doc.update(format=True)),
             _NO_ROWS_48_PARENTS,
+            _anxiety_with(lambda doc: doc["rows"][6].update(probs=[-0.5, 1.5])),
+            _anxiety_with(lambda doc: doc["rows"][6].update(probs=[float("inf"), 0.5])),
         ],
         ids=["empty-object", "nan-probability", "list-document", "non-object-row",
              "string-probabilities", "non-list-parents", "non-list-rows",
              "huge-integer-probability", "huge-integer-literal", "duplicate-parent-names",
-             "boolean-probabilities", "boolean-format", "48-parents-no-rows"],
+             "boolean-probabilities", "boolean-format", "48-parents-no-rows",
+             "out-of-range-probabilities", "infinite-probability"],
     )
     def test_validation_failure_exits_2(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -239,6 +322,37 @@ class TestScoreCommand:
         assert code == 2
         # the message names the path given, not a temporary file beside it
         assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+
+    @pytest.mark.parametrize("command", ["prune", "reproduce"])
+    def test_out_naming_a_directory_fails_before_any_search(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran before --out was checked")
+
+        monkeypatch.setattr("cpt_refine.cli.prune_best", no_search)
+        out = str(tmp_path / "outdir")
+        os.mkdir(out)
+        code, stdout, err = _run(capsys, [command, str(fixture_path("anxiety")), "--out", out])
+        assert code == 2 and stdout == ""
+        assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {out!r}\n"
+
+    def test_parser_is_reused_without_leaking_state(self, capsys):
+        anxiety = str(fixture_path("anxiety"))
+        code, _, err = _run(capsys, ["divorce", anxiety, "--parents", "Hypertension,SleepDuration",
+                                     "--map", "SleepDuration=<6hours"])
+        assert code == 0, err
+        # a --map left over from the call before would name SleepDuration, not divorced here
+        code, out, err = _run(capsys, ["divorce", anxiety, "--parents", "Depression,Hypertension"])
+        assert code == 0, err
+        assert "AND gate over Depression={Yes}, Hypertension={Yes}" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["prune", anxiety, "--no-such-flag"])
+        assert exc.value.code == 2
+        code, out, err = _run(capsys, ["prune", anxiety])
+        assert code == 0, err
+        assert "score: 0.6485" in out
+        assert build_parser() is build_parser()
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
