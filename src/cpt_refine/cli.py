@@ -75,8 +75,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out = getattr(args, "out", None)
         if out:  # fail before any search runs, naming the path as given
-            if Path(out).is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+            beside = _beside_report(Path(out)) if args.func is cmd_reproduce else []
+            for path in [out, *map(str, beside)]:
+                if Path(path).is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             if not Path(out).parent.is_dir():
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         return args.func(args)
@@ -265,6 +267,9 @@ def _parse_state_map(truth: Cpt, entries: list[str]) -> dict[int, list[int]]:
         name, states = entry.split("=", 1)
         i = _parent_index(truth, name.strip())
         variable = truth.parents[i]
+        if i in out:
+            raise ValidationError(f"--map gives parent {variable.name} twice; "
+                                  "list all its states in one PARENT=STATE[,STATE]")
         indices = []
         for label in states.split(","):
             if label not in variable.states:
@@ -366,17 +371,21 @@ def cmd_reproduce(args) -> int:
     ]
 
     atomic_write_text(out, report_csv_text(rows))
-    side = out.with_name(out.stem + "_cpts.csv")
+    side, *docs = _beside_report(out)
     atomic_write_text(side, side_by_side_csv_text(truth, {n: r.cpt for n, _, r in named}))
-    written = [out, side]
-    for name, _, res in named:
-        doc = out.with_name(f"{out.stem}_{name}.json")
+    for doc, (_, _, res) in zip(docs, named):
         save_cpt(res.cpt, doc)
-        written.append(doc)
 
     print(report_text(rows, full), end="")
-    print("wrote: " + ", ".join(str(p) for p in written))
+    print("wrote: " + ", ".join(str(p) for p in [out, side, *docs]))
     return 0
+
+
+def _beside_report(out: Path) -> list[Path]:
+    """The files ``reproduce`` writes beside its report ``out``, in order: the
+    side-by-side CPTs, then one document per method."""
+    return [out.with_name(out.stem + "_cpts.csv"),
+            *(out.with_name(f"{out.stem}_{m}.json") for m in METHODS)]
 
 
 def cmd_fixtures(args) -> int:

@@ -12,8 +12,10 @@ Each grouping is an integer label per row (rows with equal labels share):
 
 ``prune_best`` and ``divorce_best`` search the first two exhaustively. The
 divorce search scores all (gate, binarization) candidates of one parent
-subset together, reading every group's median from one sort of the truth,
-and only its winner is expanded into a CPT. ``evaluate_spec`` is the one path
+subset together, reading every group's median from one sort of the truth
+and fitting each distinct grouping once (OR and complemented-XOR
+candidates take the scores of AND and XOR ones), and only its winner is
+expanded into a CPT. ``evaluate_spec`` is the one path
 from any spec to a reported fit (a grouping spec's row labels are fitted,
 expanded and scored once), and every search reports it for its winner.
 
@@ -352,18 +354,28 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
 
     Searches every parent subset of that size, every gate, and every proper
     binarization of each divorced parent. All candidates of one subset are
-    scored at once by :func:`_divorce_subset_scores`. Ties break
-    lexicographically on (parent subset, gate, binarization): subsets, gates
-    and subsets of states are taken in sorted order and only strict
-    improvements are kept. Only the winner is expanded into a CPT.
+    scored at once by :func:`_divorce_subset_scores`, which fits only one
+    candidate of each distinct grouping: by De Morgan an OR gate over some
+    binarizations is the negated AND gate over their complements, and
+    complementing an XOR input negates its output, and a negated gate output
+    groups the rows as before. Ties break lexicographically on (parent
+    subset, gate, binarization): subsets, gates and subsets of states are
+    taken in sorted order and only strict improvements are kept. Only the
+    winner is expanded into a CPT.
     """
     n = len(truth.parents)
     if not 2 <= block_size <= n:
         raise ValidationError(f"block size must be in [2, {n}], got {block_size}")
     cards = truth.parent_cards
+    states = config_table(cards)
+    plans: dict[tuple[int, ...], _DivorcePlan] = {}  # by the divorced parents' state counts
     best: tuple[float, tuple[int, ...], int] | None = None
     for subset in itertools.combinations(range(n), block_size):
-        scores = _divorce_subset_scores(truth, subset)
+        sub_cards = tuple(cards[i] for i in subset)
+        plan = plans.get(sub_cards)
+        if plan is None:
+            plan = plans[sub_cards] = _divorce_plan(sub_cards)
+        scores = _divorce_subset_scores(truth, subset, states, plan)
         c = int(np.argmin(scores))
         if best is None or scores[c] < best[0]:
             best = (scores[c], subset, c)
@@ -372,6 +384,66 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
     gate, *picks = np.unravel_index(c, (len(GATES), *map(len, choices)))
     spec = DivorceSpec(subset, GATES[gate], [ch[j] for ch, j in zip(choices, picks)])
     return spec, evaluate_spec(truth, spec)
+
+
+@dataclass(frozen=True)
+class _DivorcePlan:
+    """What scoring the divorces of a subset needs from its parents' state counts alone.
+
+    ``inputs[j]`` is the (binarizations, subset configurations) table of
+    whether divorced parent j's gate input reads 1, and ``gate_table[g, m]``
+    gate g's output when m inputs read 1. ``scored`` holds, ascending, the
+    search-order indices of the candidates that are fitted, and
+    ``source[c]`` the position in ``scored`` of the candidate whose score
+    candidate c takes.
+    """
+
+    shape: tuple[int, ...]  # (gates, binarizations of each divorced parent)
+    inputs: tuple[np.ndarray, ...]
+    gate_table: np.ndarray
+    scored: np.ndarray
+    source: np.ndarray
+
+
+def _divorce_plan(sub_cards: tuple[int, ...]) -> _DivorcePlan:
+    """The candidates of a divorce of parents with these state counts, and which to fit.
+
+    A candidate's grouping is its gate output per subset configuration, up
+    to negation. Complementing reverses search order: of two sets of one
+    size the earlier holds the smallest state that lies in just one of
+    them, so of their complements the other one does, and sizes rise as
+    complement sizes fall. So binarization i of B and binarization
+    B - 1 - i are complements. Every AND candidate is
+    fitted. The OR candidate over binarizations (i_j) is the negated AND
+    over (B_j - 1 - i_j), which reverses the AND scores as a whole. An XOR
+    candidate takes the score of the XOR whose every binarization is the
+    earlier of its complement pair, min(i_j, B_j - 1 - i_j); only those are
+    fitted. Each fitted candidate comes first in search order among those
+    that copy it, so every score, and any error, is the one fitting each
+    candidate alone gives.
+    """
+    choices = [_binarizations(c) for c in sub_cards]
+    sub_states = config_table(sub_cards)
+    inputs = tuple(
+        np.array([[s in b for s in range(c)] for b in ch])[:, sub_states[:, j]]
+        for j, (c, ch) in enumerate(zip(sub_cards, choices))
+    )
+    n_ones = np.arange(len(sub_cards) + 1)
+    gate_table = np.stack([n_ones == len(sub_cards), n_ones > 0, n_ones % 2 == 1])
+
+    counts = tuple(map(len, choices))
+    n_and = math.prod(counts)
+    halves = [np.arange(b // 2) for b in counts]
+    earlier = [np.minimum(np.arange(b), np.arange(b)[::-1]) for b in counts]
+    xor_fitted = np.ravel_multi_index(np.ix_(*halves), counts).ravel()
+    xor_source = np.ravel_multi_index(np.ix_(*earlier), [b // 2 for b in counts]).ravel()
+    return _DivorcePlan(
+        (len(GATES), *counts),
+        inputs,
+        gate_table,
+        np.concatenate([np.arange(n_and), 2 * n_and + xor_fitted]),
+        np.concatenate([np.arange(n_and), np.arange(n_and)[::-1], n_and + xor_source]),
+    )
 
 
 # Candidates of one subset are scored in chunks of at most this many
@@ -385,12 +457,26 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
 _DIVORCE_CHUNK_ELEMENTS = 1 << 13
 
 
-def _divorce_subset_scores(truth: Cpt, subset: tuple[int, ...]) -> np.ndarray:
+def _divorce_subset_scores(
+    truth: Cpt,
+    subset: tuple[int, ...],
+    states: np.ndarray | None = None,
+    plan: _DivorcePlan | None = None,
+) -> np.ndarray:
     """Sum-TVD of every divorce of ``subset``, bitwise equal to fitting each alone.
 
     Candidates are in search order: gate outermost, then the binarizations
     of ``itertools.product`` over :func:`_binarizations` of each divorced
-    parent. The truth is laid out as (subset configuration, remaining-parent
+    parent. ``states`` is ``config_table`` of the truth's parents and
+    ``plan`` :func:`_divorce_plan` of the subset's state counts; a search
+    passes them in, built once. Only the plan's ``scored`` candidates are
+    fitted (every AND and about one XOR in 2^len(subset)): an OR candidate
+    is the negated AND over the complemented binarizations, and
+    complementing XOR inputs at most negates its output, so each other
+    candidate has a fitted one's groups with the gate values swapped, and
+    its score, as the same per-row differences summed in the same order.
+
+    The truth is laid out as (subset configuration, remaining-parent
     configuration, state) and sorted once along the subset axis. A
     candidate's gate output per subset configuration then marks which sorted
     entries belong to each (remaining configuration, gate value) group, and
@@ -402,12 +488,14 @@ def _divorce_subset_scores(truth: Cpt, subset: tuple[int, ...]) -> np.ndarray:
     """
     cards = truth.parent_cards
     n_rows, k = truth.rows.shape
-    states = config_table(cards)
+    if states is None:
+        states = config_table(cards)
+    if plan is None:
+        plan = _divorce_plan(tuple(cards[i] for i in subset))
     remaining = [i for i in range(len(cards)) if i not in subset]
     rem = _block_config_index(states, remaining, cards)
     sub = _block_config_index(states, subset, cards)
-    sub_cards = [cards[i] for i in subset]
-    n_sub = math.prod(sub_cards)
+    n_sub = plan.inputs[0].shape[1]
     n_rem = n_rows // n_sub
 
     grid = np.empty((n_sub, n_rem, k))
@@ -417,26 +505,14 @@ def _divorce_subset_scores(truth: Cpt, subset: tuple[int, ...]) -> np.ndarray:
     ranked = np.take_along_axis(grid, order, axis=0).ravel()
     cell = np.arange(n_rem * k).reshape(n_rem, k)
 
-    # per divorced parent, (binarizations, subset configurations): does its gate input read 1
-    choices = [_binarizations(c) for c in sub_cards]
-    sub_states = config_table(sub_cards)
-    inputs = [
-        np.array([[s in b for s in range(c)] for b in ch])[:, sub_states[:, j]]
-        for j, (c, ch) in enumerate(zip(sub_cards, choices))
-    ]
-    # (gate, number of inputs reading 1): the gate output
-    n_ones = np.arange(len(subset) + 1)
-    gate_table = np.stack([n_ones == len(subset), n_ones > 0, n_ones % 2 == 1])
-
-    shape = (len(GATES), *map(len, choices))
-    total = math.prod(shape)
+    total = len(plan.scored)
     scores = np.empty(total)
     step = max(1, _DIVORCE_CHUNK_ELEMENTS // (n_rows * k))
     for start in range(0, total, step):
-        gate, *picks = np.unravel_index(np.arange(start, min(start + step, total)), shape)
+        gate, *picks = np.unravel_index(plan.scored[start:start + step], plan.shape)
         n_cand = len(gate)
-        ones = sum(t[j] for t, j in zip(inputs, picks))  # (candidates, subset configurations)
-        gate_out = gate_table[gate[:, None], ones]
+        ones = sum(t[j] for t, j in zip(plan.inputs, picks))  # (candidates, subset configurations)
+        gate_out = plan.gate_table[gate[:, None], ones]
         # rank1[c, i, r, s]: how many of the i + 1 smallest entries of column (r, s) have gate 1;
         # a running sum over slices, as np.cumsum along this axis is about 10x slower
         rank1 = gate_out[:, order].astype(np.int32)
@@ -457,7 +533,7 @@ def _divorce_subset_scores(truth: Cpt, subset: tuple[int, ...]) -> np.ndarray:
         labels = 2 * n_rem * np.arange(n_cand)[:, None] + 2 * rem + gate_out[:, sub]
         diff = np.abs(truth.rows - np.take(params, labels, axis=0)).reshape(n_cand, -1)
         scores[start:start + n_cand] = 0.5 * diff.sum(axis=1)
-    return scores
+    return scores[plan.source]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cpt_refine import (
     Cpt, GaConfig, Variable, load_cpt, optimize_sici, save_cpt, score_sum_tvd
 )
-from cpt_refine.cli import build_parser, main
+from cpt_refine.cli import METHODS, build_parser, main
 from cpt_refine.cpt import config_table
 from cpt_refine.errors import ValidationError
 from cpt_refine.fixtures import FIXTURE_NAMES, fixture_path
@@ -337,6 +337,24 @@ class TestScoreCommand:
         assert code == 2 and stdout == ""
         assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {out!r}\n"
 
+    @pytest.mark.parametrize(
+        "name", ["report_cpts.csv", *(f"report_{m}.json" for m in METHODS)]
+    )
+    def test_reproduce_output_naming_a_directory_fails_before_any_search(
+        self, capsys, tmp_path, monkeypatch, name
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran before the outputs were checked")
+
+        monkeypatch.setattr("cpt_refine.cli.prune_best", no_search)
+        monkeypatch.chdir(tmp_path)
+        os.mkdir(name)
+        code, stdout, err = _run(capsys, ["reproduce", str(fixture_path("anxiety")),
+                                          "--restarts", "1", "--out", "report.csv"])
+        assert code == 2 and stdout == ""
+        assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {name!r}\n"
+        assert os.listdir(tmp_path) == [name]  # nothing written
+
     def test_parser_is_reused_without_leaking_state(self, capsys):
         anxiety = str(fixture_path("anxiety"))
         code, _, err = _run(capsys, ["divorce", anxiety, "--parents", "Hypertension,SleepDuration",
@@ -451,6 +469,15 @@ class TestMethodCommands:
         )
         assert code == 2 and out == ""
         assert "parent SleepDuration must map some but not all of its states" in err
+
+    def test_divorce_rejects_parent_mapped_twice(self, capsys):
+        code, out, err = _run(
+            capsys,
+            ["divorce", str(fixture_path("anxiety")), "--parents", "Hypertension,SleepDuration",
+             "--map", "SleepDuration=<6hours", "--map", "SleepDuration=>9hours"],
+        )
+        assert code == 2 and out == ""
+        assert "--map gives parent SleepDuration twice" in err
 
     def test_scm_on_small_document(self, capsys, tmp_path):
         rng = np.random.default_rng(41)

@@ -358,6 +358,43 @@ class TestDivorceBest:
         assert spec == DivorceSpec((0, 1), "AND", ((0,), (0,)))
         assert result.score == 0.0
 
+    @pytest.mark.parametrize(
+        "sub_cards", [c for n in (2, 3) for c in itertools.product((2, 3, 4), repeat=n)],
+        ids=lambda c: "x".join(map(str, c)),
+    )
+    def test_plan_fits_the_first_candidate_of_each_grouping(self, sub_cards):
+        # gate patterns over the subset configurations, in search order; a pattern and its
+        # complement group the rows alike, so each is normalised to read 0 at configuration 0
+        choices = [_binarizations(c) for c in sub_cards]
+        sub_states = config_table(sub_cards)
+        bits = [np.array([np.isin(sub_states[:, j], b) for b in ch]) for j, ch in enumerate(choices)]
+        picks = np.array(list(itertools.product(*(range(len(ch)) for ch in choices))))
+        ones = sum(b[picks[:, j]] for j, b in enumerate(bits)).astype(int)
+        n = len(sub_cards)
+        patterns = np.concatenate([ones == n, ones > 0, ones % 2 == 1])
+        patterns ^= patterns[:, :1]
+        _, first, cls = np.unique(patterns, axis=0, return_index=True, return_inverse=True)
+        plan = refine._divorce_plan(sub_cards)
+        assert plan.scored.tolist() == sorted(first.tolist())
+        assert plan.scored[plan.source].tolist() == first[cls.ravel()].tolist()
+        n_and = math.prod(2**c - 2 for c in sub_cards)
+        assert len(plan.scored) * 2**n == n_and * (2**n + 1)
+        assert len(plan.source) == 3 * n_and
+        counts = {(2, 2): (5, 12), (4, 4): (245, 588), (2, 2, 2): (9, 24)}
+        if sub_cards in counts:
+            assert (len(plan.scored), len(plan.source)) == counts[sub_cards]
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_divorce_of_all_six_parents(self, rounded):
+        # 64 subset configurations: every chunk holds 64 candidates of all 64 configurations
+        truth = (_tie_prone_cpt if rounded else random_cpt)(np.random.default_rng(63), (2,) * 6, 2)
+        subset = tuple(range(6))
+        specs, scores = _loop_divorce_scores(truth, subset)
+        assert _divorce_subset_scores(truth, subset).tolist() == scores
+        spec, result = divorce_best(truth, block_size=6)
+        assert spec == specs[scores.index(min(scores))]
+        assert result.score == min(scores)
+
     def test_divorces_every_parent_of_a_two_parent_table(self):
         truth = random_cpt(np.random.default_rng(62), (2, 3))
         spec, result = divorce_best(truth)
