@@ -12,7 +12,7 @@ Subcommands::
     fixtures   [--dest DIR]
 
 Exit codes: 0 success, 2 validation failure or a file that cannot be read or
-written, 3 shape mismatch, 4 search space guard exceeded. The SICI
+written, 3 shape or variable mismatch, 4 search space guard exceeded. The SICI
 partition sweep runs its partitions one after another in this process and
 prints a progress line after each one. ``reproduce`` runs it once: the best
 is the SICI row, and the singleton partition (ICI itself) is the ICI row.
@@ -33,6 +33,7 @@ from .cpt import Cpt, config_table, kl_row, param_count, score_sum_kl, score_sum
 from .errors import SearchSpaceError, ShapeMismatchError, ValidationError
 from .io import (
     ReportRow,
+    _config_labels,
     atomic_write_text,
     load_cpt,
     report_csv_text,
@@ -225,15 +226,22 @@ def _emit_result(truth: Cpt, spec: RefinementSpec, result: ApproxResult, out: st
 def cmd_score(args) -> int:
     truth = load_cpt(args.truth)
     approx = load_cpt(args.approx)
+    # tables of different nodes can share a shape; compare the child, then each parent
+    roles = ["child", *(f"parent {i + 1}" for i in range(len(truth.parents)))]
+    pairs = zip(roles, (truth.child, *truth.parents), (approx.child, *approx.parents))
+    for role, a, b in pairs:
+        if a != b:
+            raise ShapeMismatchError(
+                f"variable mismatch: {role} is {a.name} ({', '.join(a.states)}) in "
+                f"{args.truth} but {b.name} ({', '.join(b.states)}) in {args.approx}"
+            )
     kl = args.metric == "kl"
     score = (score_sum_kl if kl else score_sum_tvd)(truth, approx)
     if args.verbose:
         row_metric = kl_row if kl else tvd_row
         states = config_table(truth.parent_cards)
         for k in range(truth.n_rows):
-            labels = ", ".join(
-                f"{v.name}={v.states[s]}" for v, s in zip(truth.parents, states[k])
-            )
+            labels = _config_labels(truth.parents, states[k])
             print(f"row {k + 1:>3} ({labels}): {row_metric(truth.rows[k], approx.rows[k]):.4f}")
     print(f"{score:.4f}")
     return 0

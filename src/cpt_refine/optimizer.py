@@ -62,11 +62,15 @@ from .refine import (
     _block_rows,
     _check_covers,
     _mech_joint,
+    _require_binary,
     canonical_partition,
     evaluate_spec,
 )
 
 ProgressFn = Callable[[int, float], None]
+
+# The most parent blocks an ICI/SICI search takes: a combiner has 2^blocks entries.
+_MAX_BLOCKS = 12
 
 # per-mutation Gaussian scale is 10**uniform(log10 range): mostly small
 # polishing steps with occasional large exploratory ones
@@ -194,8 +198,8 @@ def enumerate_set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     Yields Bell(n) partitions, blocks ordered by first appearance, no
     duplicates.
     """
-    if not 1 <= n <= 12:
-        raise SearchSpaceError(f"n must be in [1, 12], got {n}")
+    if not 1 <= n <= _MAX_BLOCKS:
+        raise SearchSpaceError(f"n must be in [1, {_MAX_BLOCKS}], got {n}")
     a = [0] * n
 
     def rec(i: int, n_blocks: int):
@@ -228,8 +232,7 @@ def scm_exact(truth: Cpt) -> SearchResult:
     so prefix sums score all splits at once in O(n log n). Ties break towards
     the smallest lower block; the block holding row 0 is labelled 0.
     """
-    if truth.child.cardinality != 2:
-        raise ValidationError("the SCM objective requires a binary child")
+    _require_binary(truth.child, "the SCM objective")
     n = truth.n_rows
     if n < 2:
         raise ValidationError(f"the SCM needs at least 2 rows to split, got {n}")
@@ -264,8 +267,7 @@ def scm_bruteforce(truth: Cpt, on_progress: ProgressFn | None = None) -> SearchR
     n = truth.n_rows
     if n > 30:
         raise SearchSpaceError(f"{n} rows means 2^{n - 1} bipartitions; use scm_exact instead")
-    if truth.child.cardinality != 2:
-        raise ValidationError("brute-force SCM search requires a binary child")
+    _require_binary(truth.child, "brute-force SCM search")
     v = truth.rows[:, 0]
     order = np.argsort(v, kind="stable").astype(np.int64)
     v_sorted = v[order]
@@ -419,7 +421,7 @@ _MIN_SWEEP_GAIN = 1e-5
 # Batch set-up and every sweep take starts in chunks of at most this many elements
 # of the (2^m, rows, starts) joint: one chunk for every Anxiety and network batch of
 # 300 (at most 16 x 24 x 300). Set-up of 300 starts over 8 binary parents peaks at
-# 3.8 MiB (tracemalloc), 301 MiB built whole. At 12 blocks, the most a search takes,
+# 3.8 MiB (tracemalloc), 301 MiB built whole. At 12 blocks, ``_MAX_BLOCKS``,
 # a lone start held twice needs 256 MiB per array (computed), 300 at once 40 GB.
 _DESCENT_CHUNK_ELEMENTS = 1 << 17
 
@@ -635,15 +637,14 @@ def optimize_sici_partition(
     after each sweep. The result carries the best spec's re-scored fit, so
     its score equals what :func:`evaluate_spec` gives for that spec bitwise.
     Every ICI and SICI search runs here, so it holds their guards, among them
-    at most 12 blocks (a combiner over 2^blocks entries; SearchSpaceError).
+    at most ``_MAX_BLOCKS`` blocks (SearchSpaceError).
     """
-    if truth.child.cardinality != 2:
-        raise ValidationError("the SICI objective requires a binary child")
+    _require_binary(truth.child, "the SICI objective")
     part = canonical_partition(partition)
     if not part:
         raise ValidationError("the SICI objective needs at least one parent")
-    if len(part) > 12:
-        raise SearchSpaceError(f"{len(part)} parent blocks, more than the 12 supported")
+    if len(part) > _MAX_BLOCKS:
+        raise SearchSpaceError(f"{len(part)} parent blocks, more than the {_MAX_BLOCKS} supported")
     _check_covers(part, len(truth.parents))
     structure = _Structure.of(truth, part)
     best: tuple[float, _Starts, int, int] | None = None
@@ -694,7 +695,7 @@ def optimize_sici(
     n = len(truth.parents)
     if n < 2:
         raise ValidationError(f"the SICI sweep needs at least 2 parents, got {n}")
-    if n > 12:
+    if n > _MAX_BLOCKS:
         raise SearchSpaceError(f"partition sweep over {n} parents is not supported")
     partitions = [p for p in enumerate_set_partitions(n) if len(p) > 1]
     results: list[SearchResult] = []

@@ -268,6 +268,29 @@ class TestScoreCommand:
         assert "mismatch" in err
 
     @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda y, a, b: (Variable("Z", y.states), Variable("C", a.states),
+                              Variable("D", b.states)),
+             "child is Y (n, y) in {} but Z (n, y) in {}"),
+            (lambda y, a, b: (y, a, Variable("B", ("p", "q", "s"))),
+             "parent 2 is B (p, q, r) in {} but B (p, q, s) in {}"),
+        ],
+        ids=["other-node", "other-state-labels"],
+    )
+    def test_tables_of_different_variables_exit_3(self, capsys, tmp_path, edit, named):
+        # same 6 x 2 shape, so only the variables tell the tables apart
+        y, a, b = Variable("Y", ("n", "y")), Variable("A", ("u", "v")), Variable("B", ("p", "q", "r"))
+        rows = np.random.default_rng(32).dirichlet((1, 1), size=6)
+        child, *parents = edit(y, a, b)
+        paths = tmp_path / "truth.json", tmp_path / "approx.json"
+        save_cpt(Cpt(y, (a, b), rows), paths[0])
+        save_cpt(Cpt(child, tuple(parents), rows), paths[1])
+        code, out, err = _run(capsys, ["score", *map(str, paths)])
+        assert code == 3 and out == ""
+        assert err == f"error: variable mismatch: {named.format(*paths)}\n"
+
+    @pytest.mark.parametrize(
         "text",
         [
             "{}",
@@ -478,6 +501,39 @@ class TestMethodCommands:
         )
         assert code == 2 and out == ""
         assert "--map gives parent SleepDuration twice" in err
+
+    def test_divorce_of_one_parent_table_exits_2(self, capsys, tmp_path):
+        truth_path = tmp_path / "one_parent.json"
+        save_cpt(random_cpt(np.random.default_rng(43), (3,)), truth_path)
+        code, out, err = _run(capsys, ["divorce", str(truth_path)])
+        assert code == 2 and out == ""
+        assert err == "error: divorcing needs at least 2 parents, got 1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["scm"], ["ici", "--restarts", "1"], ["sici", "--restarts", "1"],
+         ["sici", "--restarts", "1", "--partition", "X0 | X1,X2"],
+         ["reproduce", "--restarts", "1"]],
+        ids=["scm", "ici", "sici", "sici-partition", "reproduce"],
+    )
+    def test_three_state_child_is_refused_once(self, capsys, tmp_path, argv):
+        # Dirichlet rows have no zero entries, so no group of the prune and divorce
+        # fits that reproduce runs first has all-zero medians
+        parents = tuple(Variable(f"X{i}", ("s0", "s1")) for i in range(3))
+        rows = np.random.default_rng(46).dirichlet(np.ones(3), size=8)
+        truth_path = tmp_path / "three.json"
+        save_cpt(Cpt(Variable("Y", ("y0", "y1", "y2")), parents, rows), truth_path)
+        command, *flags = argv
+        out_path = str(tmp_path / "out.csv")
+        code, out, err = _run(capsys, [command, str(truth_path), *flags, "--out", out_path])
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].endswith(" requires a binary child; Y has 3 states")
+        assert "Traceback" not in err
+        if command == "reproduce":
+            assert err.index("divorcing:") < err.index("error:")
+        assert not list(tmp_path.glob("out*"))
 
     def test_scm_on_small_document(self, capsys, tmp_path):
         rng = np.random.default_rng(41)

@@ -36,7 +36,7 @@ from cpt_refine import (
 )
 from cpt_refine.cpt import config_table
 from cpt_refine import refine
-from cpt_refine.refine import _divorce_subset_scores, _mech_config_products, canonical_partition
+from cpt_refine.refine import _mech_joint, canonical_partition
 from cpt_refine.errors import ShapeMismatchError, ValidationError
 
 from conftest import random_cpt
@@ -231,6 +231,13 @@ def _loop_divorce_scores(truth, subset):
         for s in specs
     ]
     return specs, scores
+
+
+def _divorce_subset_scores(truth, subset):
+    """Every divorce score of ``subset``, with the configuration table and plan a search builds."""
+    cards = truth.parent_cards
+    plan = refine._divorce_plan(tuple(cards[i] for i in subset))
+    return refine._divorce_subset_scores(truth, subset, config_table(cards), plan)
 
 
 def _message_or(call):
@@ -511,7 +518,7 @@ class TestMechConfigProducts:
     def test_matches_per_configuration_loop(self, cards, seed):
         rng = np.random.default_rng(seed)
         tables = [rng.random((k, 5, 4)) for k in cards]  # (states, rows, population)
-        joint = _mech_config_products(tables)
+        joint = _mech_joint(tables, [np.arange(5)] * len(cards))
         assert joint.shape == (math.prod(cards), 5, 4)
         # configurations in mixed radix with mechanism 0 fastest, multiplied in mechanism order
         for j, config in enumerate(config_table(cards)):
@@ -521,7 +528,8 @@ class TestMechConfigProducts:
             assert np.array_equal(joint[j], expected)
         # each member of the trailing batch axis gets the bits it gets alone
         for i in range(4):
-            assert np.array_equal(joint[..., i], _mech_config_products([t[..., i] for t in tables]))
+            alone = _mech_joint([t[..., i] for t in tables], [np.arange(5)] * len(cards))
+            assert np.array_equal(joint[..., i], alone)
 
 
 class TestPici:
