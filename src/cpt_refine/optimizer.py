@@ -71,6 +71,10 @@ ProgressFn = Callable[[int, float], None]
 
 # The most parent blocks an ICI/SICI search takes: a combiner has 2^blocks entries.
 _MAX_BLOCKS = 12
+# The most float64 values a search batch's own state may hold: population x (rows +
+# the blocks' configurations + 2^blocks). 2^26 values are 512 MiB; 300 starts of
+# Anxiety's ICI hold 14,700, and 300 over 12 binary parents about 2.5 million.
+_MAX_BATCH_VALUES = 1 << 26
 
 # per-mutation Gaussian scale is 10**uniform(log10 range): mostly small
 # polishing steps with occasional large exploratory ones
@@ -519,18 +523,24 @@ def _flip_combiner(structure: _Structure, starts: _Starts) -> int:
     while active.size:
         cols = _wide(active)
         sign = 1.0 - 2.0 * np.take(starts.comb[1:], cols, axis=1)
-        cand = np.take(starts.p_yes, cols, axis=1) + sign[:, None, :] * moves
-        dev = np.subtract(cand, structure.t_yes)
+        p = np.take(starts.p_yes, cols, axis=1)
+        # |p + sign * moves - t| per candidate, built in one buffer
+        dev = np.multiply(sign[:, None, :], moves)
+        dev += p
+        dev -= structure.t_yes
         scores = np.abs(dev, out=dev).sum(axis=1)
         evaluations += len(scores) * active.size
         at = np.arange(active.size)
         j = np.argmin(scores, axis=0)[at]
         improves = scores[j, at] < starts.score[active]
+        every = improves.all()
         at, j, active = at[improves], j[improves], active[improves]
         starts.comb[j + 1, active] = 1.0 - starts.comb[j + 1, active]
-        starts.p_yes[:, active] = cand[j, :, at].T
+        # the candidate's P(Y = 1) again, in the bits it was scored with
+        starts.p_yes[:, active] = p[:, at] + sign[j, at] * moves[j, :, at].T
         starts.score[active] = scores[j, at]
-        moves = np.take(moves, _wide(at), axis=2)
+        if not every:
+            moves = np.take(moves, _wide(at), axis=2)
     return evaluations
 
 
@@ -542,7 +552,9 @@ def _fit_block(structure: _Structure, starts: _Starts, b: int) -> int:
     combiner's two halves over block b's mechanism state. The parameters
     separate, and each one's least-absolute-deviation optimum over [0, 1] is
     the lower weighted median of clip((t - d) / a, 0, 1), weights |a|, over
-    the rows that read it. A parameter read only by rows with a = 0 keeps its
+    the rows that read it: each group of rows is sorted stably, and one flat
+    index (configuration, rank, start) gathers the sorted weights, whose prefix
+    sums locate that median. A parameter read only by rows with a = 0 keeps its
     value; a start keeps its old block if the refit would raise its score.
     Returns the number of candidate scores computed.
     """
@@ -562,18 +574,20 @@ def _fit_block(structure: _Structure, starts: _Starts, b: int) -> int:
     rows = structure.by_config[b]
     z, w = z[rows].reshape(group), np.abs(a)[rows].reshape(group)
     order = np.argsort(z, axis=1, kind="stable")
-    cum_w = np.take_along_axis(w, order, axis=1).cumsum(axis=1)
-    total = cum_w[:, -1:]
-    lower = np.argmax(2.0 * cum_w >= total, axis=1)[:, None]
-    median = np.take_along_axis(np.take_along_axis(z, order, axis=1), lower, axis=1)
-    theta = np.where(total > 0.0, median, starts.mech[b][:, None])[:, 0]
+    # base[c, s]: the flat index of group c's first row for start s; rank k adds k * n
+    base = np.arange(0, z.size, z.shape[1] * n).reshape(-1, 1) + np.arange(n)
+    cum_w = np.take(w, order * n + base[:, None, :]).cumsum(axis=1)
+    total = cum_w[:, -1]
+    lower = np.argmax(2.0 * cum_w >= total[:, None, :], axis=1)
+    median = np.take(z, np.take(order, lower * n + base) * n + base)
+    theta = np.where(total > 0.0, median, starts.mech[b])
 
     p_yes = a * theta[structure.rows[b]] + d
     score = np.abs(p_yes - t).sum(axis=0)
     take = score <= starts.score
-    starts.mech[b][:, take] = theta[:, take]
-    starts.p_yes[:, take] = p_yes[:, take]
-    starts.score[take] = score[take]
+    np.copyto(starts.mech[b], theta, where=take)
+    np.copyto(starts.p_yes, p_yes, where=take)
+    np.copyto(starts.score, score, where=take)
     return n
 
 
@@ -637,7 +651,8 @@ def optimize_sici_partition(
     after each sweep. The result carries the best spec's re-scored fit, so
     its score equals what :func:`evaluate_spec` gives for that spec bitwise.
     Every ICI and SICI search runs here, so it holds their guards, among them
-    at most ``_MAX_BLOCKS`` blocks (SearchSpaceError).
+    at most ``_MAX_BLOCKS`` blocks and a batch state of at most
+    ``_MAX_BATCH_VALUES`` values (SearchSpaceError).
     """
     _require_binary(truth.child, "the SICI objective")
     part = canonical_partition(partition)
@@ -647,6 +662,12 @@ def optimize_sici_partition(
         raise SearchSpaceError(f"{len(part)} parent blocks, more than the {_MAX_BLOCKS} supported")
     _check_covers(part, len(truth.parents))
     structure = _Structure.of(truth, part)
+    values = config.population * (len(structure.t_yes) + sum(structure.sizes) + (1 << len(part)))
+    if values > _MAX_BATCH_VALUES:
+        raise SearchSpaceError(
+            f"a batch of {config.population} starts holds {values} values, "
+            f"more than the {_MAX_BATCH_VALUES} supported"
+        )
     best: tuple[float, _Starts, int, int] | None = None
     evaluations = sweeps = 0
     for r in range(config.restarts):

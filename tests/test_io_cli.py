@@ -589,6 +589,15 @@ class TestMethodCommands:
         assert code == 4
         assert "13 parent blocks" in err
 
+    def test_infeasible_population_exits_4(self, capsys):
+        argv = ["ici", str(fixture_path("anxiety")), "--population", "1000000000000",
+                "--restarts", "1"]
+        code, out, err = _run(capsys, argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: a batch of 1000000000000 starts holds")
+        assert err.count("\n") == 1
+
     def test_negative_seed_exits_2(self, capsys):
         code, _, err = _run(capsys, ["ici", str(fixture_path("anxiety")), "--seed", "-1"])
         assert code == 2

@@ -455,6 +455,28 @@ class TestSearchSpaceGuards:
             optimize_sici_partition(thirteen_parents, singletons, GaConfig(restarts=1))
 
 
+class TestBatchStateGuard:
+    """A search refuses a batch whose own state exceeds ``_MAX_BATCH_VALUES``, before
+    it allocates any of it."""
+
+    def test_limit_is_inclusive(self, anxiety, monkeypatch):
+        # Anxiety's ICI holds 49 values per start: 24 rows, 9 mechanism
+        # parameters and 16 combiner entries
+        monkeypatch.setattr(optimizer, "_MAX_BATCH_VALUES", 49 * 40)
+        config = GaConfig(population=40, max_generations=2, restarts=1)
+        assert optimize_ici(anxiety, config).evaluations > 0
+        with pytest.raises(SearchSpaceError, match="41 starts holds 2009 values"):
+            optimize_ici(anxiety, GaConfig(population=41, max_generations=2, restarts=1))
+
+    def test_refused_before_any_start_is_drawn(self, anxiety, monkeypatch):
+        def no_starts(*args, **kwargs):
+            raise AssertionError("starts were drawn past the batch guard")
+
+        monkeypatch.setattr(optimizer, "_random_starts", no_starts)
+        with pytest.raises(SearchSpaceError, match="more than the 67108864 supported"):
+            optimize_sici(anxiety, GaConfig(population=10**12, restarts=1))
+
+
 def _random_structure(rng):
     """A random 2-3 parent binary-child truth, a random partition of its parents
     and the descent's view of that structure."""
@@ -647,3 +669,155 @@ class TestCoordinateDescent:
                 b.seed_used,
                 b.generations_run,
             )
+
+
+# The descent kernels before the flat-index median and the one-buffer flip scoring,
+# kept verbatim (but for their names) as the oracle of the current ones.
+_Structure, _Starts = optimizer._Structure, optimizer._Starts
+_joint, _wide = optimizer._joint, optimizer._wide
+
+
+def _reference_flip_combiner(structure: _Structure, starts: _Starts) -> int:
+    """Apply each start's best improving single-bit combiner flip until none improves.
+
+    Every flip of every still-improving start is scored at once; configuration 0
+    stays pinned. ``starts`` holds at least two columns (see :func:`_wide`).
+    Returns the number of candidate scores computed.
+    """
+    # (2^m - 1, rows, starts): the P(Y = 1) mass each flippable configuration
+    # moves, for the columns _wide(active)
+    moves = _joint(structure, starts.mech)[1:]
+    active = np.arange(len(starts.score))
+    evaluations = 0
+    while active.size:
+        cols = _wide(active)
+        sign = 1.0 - 2.0 * np.take(starts.comb[1:], cols, axis=1)
+        cand = np.take(starts.p_yes, cols, axis=1) + sign[:, None, :] * moves
+        dev = np.subtract(cand, structure.t_yes)
+        scores = np.abs(dev, out=dev).sum(axis=1)
+        evaluations += len(scores) * active.size
+        at = np.arange(active.size)
+        j = np.argmin(scores, axis=0)[at]
+        improves = scores[j, at] < starts.score[active]
+        at, j, active = at[improves], j[improves], active[improves]
+        starts.comb[j + 1, active] = 1.0 - starts.comb[j + 1, active]
+        starts.p_yes[:, active] = cand[j, :, at].T
+        starts.score[active] = scores[j, at]
+        moves = np.take(moves, _wide(at), axis=2)
+    return evaluations
+
+
+def _reference_fit_block(structure: _Structure, starts: _Starts, b: int) -> int:
+    """Refit block b's mechanism probabilities exactly, every other parameter fixed.
+
+    Each row reads one parameter theta of block b, and its P(Y = 1) is
+    a * theta + d, where a and d come from the other blocks' joint and the
+    combiner's two halves over block b's mechanism state. The parameters
+    separate, and each one's least-absolute-deviation optimum over [0, 1] is
+    the lower weighted median of clip((t - d) / a, 0, 1), weights |a|, over
+    the rows that read it. A parameter read only by rows with a = 0 keeps its
+    value; a start keeps its old block if the refit would raise its score.
+    Returns the number of candidate scores computed.
+    """
+    n_rows, n = starts.p_yes.shape
+    t = structure.t_yes
+    joint = _joint(structure, starts.mech, skip=b)
+    halves = starts.comb.reshape(-1, 2, 1 << b, n)
+    off = halves[:, 0].reshape(-1, 1, n)
+    on = halves[:, 1].reshape(-1, 1, n)
+    # with b the only block the other blocks' joint is the (1, 1) empty product
+    d = np.broadcast_to((joint * off).sum(axis=0), (n_rows, n))
+    a = np.broadcast_to((joint * (on - off)).sum(axis=0), (n_rows, n))
+    z = np.clip(np.divide(t - d, a, out=np.zeros((n_rows, n)), where=a != 0), 0.0, 1.0)
+
+    # every configuration of the block is read by the same number of rows
+    group = (structure.sizes[b], -1, n)
+    rows = structure.by_config[b]
+    z, w = z[rows].reshape(group), np.abs(a)[rows].reshape(group)
+    order = np.argsort(z, axis=1, kind="stable")
+    cum_w = np.take_along_axis(w, order, axis=1).cumsum(axis=1)
+    total = cum_w[:, -1:]
+    lower = np.argmax(2.0 * cum_w >= total, axis=1)[:, None]
+    median = np.take_along_axis(np.take_along_axis(z, order, axis=1), lower, axis=1)
+    theta = np.where(total > 0.0, median, starts.mech[b][:, None])[:, 0]
+
+    p_yes = a * theta[structure.rows[b]] + d
+    score = np.abs(p_yes - t).sum(axis=0)
+    take = score <= starts.score
+    starts.mech[b][:, take] = theta[:, take]
+    starts.p_yes[:, take] = p_yes[:, take]
+    starts.score[take] = score[take]
+    return n
+
+
+def _with_state(structure, mech, comb):
+    """Starts with these mechanism and combiner tables and the P(Y=1) and scores they give."""
+    p_yes = (optimizer._joint(structure, mech) * comb[:, None, :]).sum(axis=0)
+    return optimizer._Starts(mech, comb, p_yes, np.abs(p_yes - structure.t_yes).sum(axis=0))
+
+
+def _kernel_cases():
+    """(name, structure, starts) on which the kernels must agree with the reference."""
+    rng = np.random.default_rng(1717)
+    for i in range(16):
+        truth, partition, structure = _random_structure(rng)
+        yield f"random{i}", structure, optimizer._random_starts(structure, rng, 7)
+    truth, partition, structure = _random_structure(rng)
+    starts = optimizer._random_starts(structure, rng, 5)
+    yield "lone start held twice", structure, starts.take(optimizer._wide(np.array([3])))
+    # P(Y=1) of 0, 1/2 or 1 and parameters on a grid of quarters: many equal z,
+    # among them the clipped ones with different weights
+    yes = rng.choice([0.0, 0.5, 1.0], size=6)
+    parents = (*_bin_parents(1), Variable("X1", ("a", "b", "c")))
+    truth = Cpt(BIN, parents, np.column_stack([1.0 - yes, yes]))
+    for partition in (((0,), (1,)), ((0, 1),)):
+        structure = optimizer._Structure.of(truth, partition)
+        starts = optimizer._random_starts(structure, rng, 9)
+        mech = [np.round(m * 4.0) / 4.0 for m in starts.mech]
+        yield f"tied z {partition}", structure, _with_state(structure, mech, starts.comb)
+    # a constant combiner, and parameters of exactly 0 or 1: rows with a = 0
+    truth, partition, structure = _random_structure(rng)
+    starts = optimizer._random_starts(structure, rng, 8)
+    comb = starts.comb.copy()
+    comb[:, :3] = 0.0
+    mech = [m.copy() for m in starts.mech]
+    for m in mech:
+        m[:, 3:6] = np.round(m[:, 3:6])
+    yield "a = 0", structure, _with_state(structure, mech, comb)
+    # one block: the other blocks' joint is the (1, 1) empty product
+    truth = random_cpt(rng, (2, 3))
+    structure = optimizer._Structure.of(truth, ((0, 1),))
+    yield "one block", structure, optimizer._random_starts(structure, rng, 6)
+
+
+class TestDescentKernels:
+    """The rewritten flip and block steps against the reference kernels above."""
+
+    @pytest.mark.parametrize("case", list(_kernel_cases()), ids=lambda case: case[0])
+    def test_steps_are_bitwise_those_of_the_reference(self, case):
+        # each block's refit, the flips, then each refit again, on copies of one batch
+        _, structure, starts = case
+        cols = np.arange(len(starts.score))
+        old, new = starts.take(cols), starts.take(cols)
+        refits = [(_reference_fit_block, optimizer._fit_block, (b,)) for b in range(len(old.mech))]
+        flips = [(_reference_flip_combiner, optimizer._flip_combiner, ())]
+        for reference, kernel, args in refits + flips + refits:
+            assert kernel(structure, new, *args) == reference(structure, old, *args)
+            for got, want in zip(
+                [*new.mech, new.comb, new.p_yes, new.score],
+                [*old.mech, old.comb, old.p_yes, old.score],
+            ):
+                assert got.tobytes() == want.tobytes()
+
+    def test_flip_step_keeps_one_candidate_buffer(self, anxiety):
+        # one (15, 24, 300) buffer of candidates beside the moves: 2.7 MiB at
+        # the peak, where three such temporaries at once took 4.25 MiB
+        structure = optimizer._Structure.of(anxiety, [(i,) for i in range(4)])
+        starts = optimizer._random_starts(structure, np.random.default_rng(0), 300)
+        tracemalloc.start()
+        try:
+            optimizer._flip_combiner(structure, starts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
