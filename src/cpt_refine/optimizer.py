@@ -23,10 +23,12 @@ Four parts:
   median (the coordinate step of Wu & Lange, "Coordinate descent algorithms
   for lasso penalized regression", Ann. Appl. Stat. 2008). A sweep first
   applies each start's best improving single-bit combiner flip until none
-  improves, then refits the blocks in order. The objective has kinks where
-  plain coordinate descent stalls, so many seeded random starts run at once on
-  the last axis of the ``refine`` mechanism-product kernel's (configurations,
-  rows, starts) arrays; starts at a fixed point leave the batch. Identical
+  improves, then refits the blocks in order; a block's refit builds the other
+  blocks' joint once per configuration of the parents outside the block, not
+  once per row. The objective has kinks where plain coordinate descent
+  stalls, so many seeded random starts run at once on the last axis of the
+  ``refine`` mechanism-product kernel's (configurations, rows, starts)
+  arrays; starts at a fixed point leave the batch. Identical
   seed and config give bitwise-identical results. The sweep runs its
   partitions serially.
 
@@ -432,20 +434,40 @@ _DESCENT_CHUNK_ELEMENTS = 1 << 17
 
 @dataclass(frozen=True, eq=False)
 class _Structure:
-    """A US-SICI structure over a binary-child truth CPT, as the descent reads it."""
+    """A US-SICI structure over a binary-child truth CPT, as the descent reads it.
+
+    A row's index is the sum of its block-b part and the part of the parents
+    outside block b, so every group of ``by_config[b]`` lists the rows of one
+    block-b configuration in the same order of the other parents'
+    configurations: the order of group 0. Block b's refit works in that
+    (configs_b, others, ...) layout, where ``rest_rows[b]``, ``t_grouped[b]`` and
+    ``position[b]`` hold what it reads.
+    """
 
     t_yes: np.ndarray  # (rows, 1) target P(Y = 1)
     rows: list[np.ndarray]  # per block, each row's configuration index (``_block_rows``)
     by_config: list[np.ndarray]  # per block, the rows in order of that index
     sizes: tuple[int, ...]  # per block, the number of configurations
+    # per block b, each other block's configuration index (blocks in order) for each
+    # configuration of the parents outside b
+    rest_rows: list[list[np.ndarray]]
+    t_grouped: list[np.ndarray]  # per block b, t_yes in (configs_b, others, 1) layout
+    position: list[np.ndarray]  # per block b, each row's flat index in that layout
 
     @classmethod
     def of(cls, truth: Cpt, partition: Sequence[Sequence[int]]) -> "_Structure":
         cards = truth.parent_cards
+        t_yes = truth.rows[:, 1:]
         rows = _block_rows(cards, partition)
         by_config = [np.argsort(r, kind="stable") for r in rows]
         sizes = tuple(math.prod(cards[i] for i in block) for block in partition)
-        return cls(truth.rows[:, 1:], rows, by_config, sizes)
+        rest_rows = []
+        for b, (order, size) in enumerate(zip(by_config, sizes)):
+            first = order[: len(order) // size]  # the rows of block-b configuration 0
+            rest_rows.append([r[first] for c, r in enumerate(rows) if c != b])
+        t_grouped = [t_yes[order].reshape(size, -1, 1) for order, size in zip(by_config, sizes)]
+        position = [np.argsort(order) for order in by_config]
+        return cls(t_yes, rows, by_config, sizes, rest_rows, t_grouped, position)
 
 
 @dataclass(eq=False)
@@ -481,10 +503,9 @@ def _wide(idx: np.ndarray) -> np.ndarray:
     return np.repeat(idx, 2) if len(idx) == 1 else idx
 
 
-def _joint(structure: _Structure, mech: Sequence[np.ndarray], skip: int = -1) -> np.ndarray:
-    """(2^m, rows, starts) mechanism-configuration probabilities, leaving out block ``skip``."""
-    keep = [b for b in range(len(mech)) if b != skip]
-    return _mech_joint([_binary_states(mech[b]) for b in keep], [structure.rows[b] for b in keep])
+def _joint(structure: _Structure, mech: Sequence[np.ndarray]) -> np.ndarray:
+    """(2^m, rows, starts) mechanism-configuration probabilities."""
+    return _mech_joint([_binary_states(m) for m in mech], structure.rows)
 
 
 def _chunks(structure: _Structure, idx: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -549,41 +570,43 @@ def _fit_block(structure: _Structure, starts: _Starts, b: int) -> int:
 
     Each row reads one parameter theta of block b, and its P(Y = 1) is
     a * theta + d, where a and d come from the other blocks' joint and the
-    combiner's two halves over block b's mechanism state. The parameters
-    separate, and each one's least-absolute-deviation optimum over [0, 1] is
-    the lower weighted median of clip((t - d) / a, 0, 1), weights |a|, over
-    the rows that read it: each group of rows is sorted stably, and one flat
-    index (configuration, rank, start) gathers the sorted weights, whose prefix
-    sums locate that median. A parameter read only by rows with a = 0 keeps its
-    value; a start keeps its old block if the refit would raise its score.
+    combiner's two halves over block b's mechanism state. Both depend on the
+    row only through the parents outside block b, so they are built once per
+    configuration of those parents and read in the (configs_b, others, starts)
+    layout of :class:`_Structure`. The parameters separate, and each one's
+    least-absolute-deviation optimum over [0, 1] is the lower weighted median
+    of clip((t - d) / a, 0, 1), weights |a|, over the rows that read it: each
+    group is sorted stably, and flat indices (configuration, rank, start) gather
+    the sorted weights, whose prefix sums locate that median. A parameter read
+    only by rows with a = 0 keeps its value; a start keeps its old block if the
+    refit would raise its score. P(Y = 1) returns to row order before it is
+    scored, so every element and sum is the one a refit in row order computes.
     Returns the number of candidate scores computed.
     """
-    n_rows, n = starts.p_yes.shape
-    t = structure.t_yes
-    joint = _joint(structure, starts.mech, skip=b)
+    n = starts.score.size
+    t = structure.t_grouped[b]
+    rest = [_binary_states(m) for c, m in enumerate(starts.mech) if c != b]
+    joint = _mech_joint(rest, structure.rest_rows[b])
     halves = starts.comb.reshape(-1, 2, 1 << b, n)
     off = halves[:, 0].reshape(-1, 1, n)
     on = halves[:, 1].reshape(-1, 1, n)
-    # with b the only block the other blocks' joint is the (1, 1) empty product
-    d = np.broadcast_to((joint * off).sum(axis=0), (n_rows, n))
-    a = np.broadcast_to((joint * (on - off)).sum(axis=0), (n_rows, n))
-    z = np.clip(np.divide(t - d, a, out=np.zeros((n_rows, n)), where=a != 0), 0.0, 1.0)
+    # (others, starts); with b the only block the joint is the (1, 1) empty product
+    d = (joint * off).sum(axis=0)
+    a = (joint * (on - off)).sum(axis=0)
+    z = np.clip(np.divide(t - d, a, out=np.zeros((*t.shape[:2], n)), where=a != 0), 0.0, 1.0)
 
-    # every configuration of the block is read by the same number of rows
-    group = (structure.sizes[b], -1, n)
-    rows = structure.by_config[b]
-    z, w = z[rows].reshape(group), np.abs(a)[rows].reshape(group)
     order = np.argsort(z, axis=1, kind="stable")
-    # base[c, s]: the flat index of group c's first row for start s; rank k adds k * n
-    base = np.arange(0, z.size, z.shape[1] * n).reshape(-1, 1) + np.arange(n)
-    cum_w = np.take(w, order * n + base[:, None, :]).cumsum(axis=1)
+    # every group reads the same weights: rank k of group c gathers |a| at order * n + s
+    cum_w = np.take(np.abs(a), order * n + np.arange(n)).cumsum(axis=1)
     total = cum_w[:, -1]
     lower = np.argmax(2.0 * cum_w >= total[:, None, :], axis=1)
+    # base[c, s]: the flat index of group c's first element for start s
+    base = np.arange(0, z.size, z.shape[1] * n).reshape(-1, 1) + np.arange(n)
     median = np.take(z, np.take(order, lower * n + base) * n + base)
     theta = np.where(total > 0.0, median, starts.mech[b])
 
-    p_yes = a * theta[structure.rows[b]] + d
-    score = np.abs(p_yes - t).sum(axis=0)
+    p_yes = np.take((a * theta[:, None, :] + d).reshape(-1, n), structure.position[b], axis=0)
+    score = np.abs(p_yes - structure.t_yes).sum(axis=0)
     take = score <= starts.score
     np.copyto(starts.mech[b], theta, where=take)
     np.copyto(starts.p_yes, p_yes, where=take)

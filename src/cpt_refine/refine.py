@@ -226,7 +226,10 @@ def _as_tuples(arr: np.ndarray) -> tuple:
 
 def _binary_states(p1: np.ndarray) -> np.ndarray:
     """(2, ...) state tables [P(M = 0), P(M = 1)] from P(M = 1) values."""
-    return np.stack([1.0 - p1, p1])
+    out = np.empty((2, *p1.shape))
+    np.subtract(1.0, p1, out=out[0])
+    out[1] = p1
+    return out
 
 
 RefinementSpec = PruneSpec | DivorceSpec | ScmSpec | SiciSpec

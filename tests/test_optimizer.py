@@ -31,7 +31,9 @@ from cpt_refine import (
     sici_evaluate,
 )
 from cpt_refine import optimizer
+from cpt_refine.cpt import config_table
 from cpt_refine.errors import SearchSpaceError, ShapeMismatchError, ValidationError
+from cpt_refine.refine import _binary_states, _mech_joint
 
 from conftest import random_cpt
 
@@ -477,10 +479,11 @@ class TestBatchStateGuard:
             optimize_sici(anxiety, GaConfig(population=10**12, restarts=1))
 
 
-def _random_structure(rng):
-    """A random 2-3 parent binary-child truth, a random partition of its parents
-    and the descent's view of that structure."""
-    cards = tuple(int(c) for c in rng.integers(2, 4, size=int(rng.integers(2, 4))))
+def _random_structure(rng, n_parents=None):
+    """A random binary-child truth of ``n_parents`` parents (2-3 if None) of 2-3 states,
+    a random partition of its parents and the descent's view of that structure."""
+    n = int(rng.integers(2, 4)) if n_parents is None else n_parents
+    cards = tuple(int(c) for c in rng.integers(2, 4, size=n))
     truth = random_cpt(rng, cards)
     labels = rng.integers(0, len(cards), size=len(cards))
     partition = tuple(tuple(np.flatnonzero(labels == g)) for g in np.unique(labels))
@@ -672,9 +675,16 @@ class TestCoordinateDescent:
 
 
 # The descent kernels before the flat-index median and the one-buffer flip scoring,
-# kept verbatim (but for their names) as the oracle of the current ones.
+# and the joint they read, which built block b's refit over every row, kept
+# verbatim (but for their names) as the oracle of the current ones.
 _Structure, _Starts = optimizer._Structure, optimizer._Starts
-_joint, _wide = optimizer._joint, optimizer._wide
+_wide = optimizer._wide
+
+
+def _joint(structure: _Structure, mech, skip: int = -1) -> np.ndarray:
+    """(2^m, rows, starts) mechanism-configuration probabilities, leaving out block ``skip``."""
+    keep = [b for b in range(len(mech)) if b != skip]
+    return _mech_joint([_binary_states(mech[b]) for b in keep], [structure.rows[b] for b in keep])
 
 
 def _reference_flip_combiner(structure: _Structure, starts: _Starts) -> int:
@@ -788,6 +798,16 @@ def _kernel_cases():
     truth = random_cpt(rng, (2, 3))
     structure = optimizer._Structure.of(truth, ((0, 1),))
     yield "one block", structure, optimizer._random_starts(structure, rng, 6)
+    # 4 and 5 parents: random partitions, which often hold multi-parent blocks, and
+    # blocks of two and three beside singletons
+    wider = ((4, ((0, 2), (1, 3))), (5, ((0, 1, 3), (2, 4))), (5, ((0, 4), (1,), (2, 3))))
+    for i, (n_parents, blocks) in enumerate(wider):
+        for j in range(2):
+            truth, partition, structure = _random_structure(rng, n_parents)
+            starts = optimizer._random_starts(structure, rng, 7)
+            yield f"{n_parents} parents random{2 * i + j}", structure, starts
+        structure = optimizer._Structure.of(truth, blocks)
+        yield f"{n_parents} parents {blocks}", structure, optimizer._random_starts(structure, rng, 7)
 
 
 class TestDescentKernels:
@@ -809,6 +829,24 @@ class TestDescentKernels:
             ):
                 assert got.tobytes() == want.tobytes()
 
+    def test_block_refit_works_over_the_other_configurations(self):
+        # the other five blocks' (32, 32, 300) joint takes 2.3 MiB per copy: 4.9 MiB at
+        # the peak, where building it over all 64 rows took 9.7 MiB
+        truth = random_cpt(np.random.default_rng(16), (2,) * 6)
+        structure = optimizer._Structure.of(truth, [(i,) for i in range(6)])
+        starts = optimizer._random_starts(structure, np.random.default_rng(0), 300)
+        tracemalloc.start()
+        try:
+            optimizer._fit_block(structure, starts, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+    def test_binary_states_are_those_of_a_stack(self):
+        p1 = np.random.default_rng(4).random((3, 5))
+        assert _binary_states(p1).tobytes() == np.stack([1.0 - p1, p1]).tobytes()
+
     def test_flip_step_keeps_one_candidate_buffer(self, anxiety):
         # one (15, 24, 300) buffer of candidates beside the moves: 2.7 MiB at
         # the peak, where three such temporaries at once took 4.25 MiB
@@ -821,3 +859,42 @@ class TestDescentKernels:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+class TestGroupedLayout:
+    """Block b's refit reads the rows in the (configs_b, others) layout of ``_Structure``."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_group_reads_the_other_configurations_in_one_order(self, seed):
+        # 2-5 parents of 2-4 states: a random partition, a block of the first and last
+        # parent beside singletons, and the one-block partition
+        rng = np.random.default_rng(1800 + seed)
+        n = 2 + seed % 4
+        cards = tuple(int(c) for c in rng.integers(2, 5, size=n))
+        truth = random_cpt(rng, cards)
+        labels = rng.integers(0, n, size=n)
+        partitions = {
+            tuple(tuple(int(i) for i in np.flatnonzero(labels == g)) for g in np.unique(labels)),
+            ((0, n - 1), *((i,) for i in range(1, n - 1))),
+            (tuple(range(n)),),
+        }
+        states = config_table(cards)
+        for partition in partitions:
+            structure = optimizer._Structure.of(truth, partition)
+            for b, block in enumerate(partition):
+                groups = structure.by_config[b].reshape(structure.sizes[b], -1)
+                rest = [i for i in range(n) if i not in block]
+                # group c is block-b configuration c, and every group lists the other
+                # parents' configurations in the order of group 0
+                assert (structure.rows[b][groups] == np.arange(len(groups))[:, None]).all()
+                assert (states[groups][:, :, rest] == states[groups[0]][:, rest]).all()
+                others = [c for c in range(len(partition)) if c != b]
+                assert len(structure.rest_rows[b]) == len(others)
+                for c, rest_rows in zip(others, structure.rest_rows[b]):
+                    assert (structure.rows[c][groups] == rest_rows).all()
+                # the target in that layout, and each row's position in it
+                assert structure.t_grouped[b].shape == (*groups.shape, 1)
+                assert (structure.t_grouped[b][..., 0] == structure.t_yes[groups, 0]).all()
+                positions = np.arange(truth.n_rows).reshape(groups.shape)
+                assert (structure.position[b][groups] == positions).all()
+                assert (groups.reshape(-1)[structure.position[b]] == np.arange(truth.n_rows)).all()
