@@ -64,6 +64,7 @@ from .refine import (
 )
 
 METHODS = ("pruning", "divorcing", "scm", "ici", "sici")
+_EXIT_CODES = {ShapeMismatchError: 3, SearchSpaceError: 4}  # the rest, unreadable files too, exit 2
 
 
 def entry_point() -> None:
@@ -83,15 +84,9 @@ def main(argv: list[str] | None = None) -> int:
             if not Path(out).parent.is_dir():
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         return args.func(args)
-    except ShapeMismatchError as exc:
+    except (ValidationError, ShapeMismatchError, SearchSpaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SearchSpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _EXIT_CODES.get(type(exc), 2)
 
 
 @functools.cache
@@ -327,6 +322,9 @@ def _parse_partition(truth: Cpt, text: str) -> tuple[tuple[int, ...], ...]:
         if not names:
             raise ValidationError(f"empty block in partition {text!r}")
         blocks.append(tuple(_parent_index(truth, n) for n in names))
+    missing = [v.name for i, v in enumerate(truth.parents) if all(i not in b for b in blocks)]
+    if missing:
+        raise ValidationError(f"partition {text!r} leaves out {', '.join(missing)}")
     return tuple(blocks)
 
 

@@ -185,7 +185,8 @@ def kl_row(p: Sequence[float], q: Sequence[float], epsilon: float = 1e-9) -> flo
     Offered as an alternative metric only; it is far more sensitive than TVD
     where q has near-zero tails, which is why the package scores with TVD by
     default. ``epsilon`` is added to every entry of q before renormalising so
-    the divergence stays finite.
+    the divergence stays finite. Rounding can leave the sum a few ulps below
+    zero, where by Gibbs' inequality it never is; it is clamped at 0.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be > 0")
@@ -196,7 +197,7 @@ def kl_row(p: Sequence[float], q: Sequence[float], epsilon: float = 1e-9) -> flo
     q = q + epsilon
     q = q / q.sum()
     mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    return max(0.0, float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
 
 
 def score_sum_kl(truth: Cpt, approx: Cpt, epsilon: float = 1e-9) -> float:
@@ -229,12 +230,11 @@ def fit_grouping(truth: Cpt, labels: np.ndarray | Sequence[int]) -> Grouping:
 
     ``labels`` gives each row's group as any integer; rows with equal labels
     form one group. Per group and per child state the median of the truth's
-    probabilities across member rows is taken, for every group at once: each
-    column is sorted within groups and the median read at each group's middle
-    offsets. For a binary child the two medians sum to 1 and are exactly
-    LAD-optimal. For wider children per-state medians need not sum to 1 and
-    are renormalised; that renormalised vector is a heuristic rather than the
-    exact optimum.
+    probabilities across member rows is taken, for every group at once by
+    :func:`_median_pairs`. For a binary child the two medians sum to 1 and
+    are exactly LAD-optimal. For wider children per-state medians need not
+    sum to 1 and are renormalised; that renormalised vector is a heuristic
+    rather than the exact optimum.
     """
     labels = np.asarray(labels)
     if labels.shape != (truth.n_rows,) or not np.issubdtype(labels.dtype, np.integer):
@@ -243,12 +243,38 @@ def fit_grouping(truth: Cpt, labels: np.ndarray | Sequence[int]) -> Grouping:
             f"got {labels.dtype} of shape {labels.shape}"
         )
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    rows = truth.rows
-    order = np.lexsort((rows, np.broadcast_to(inverse[:, None], rows.shape)), axis=0)
-    ranked = np.take_along_axis(rows, order, axis=0)
-    start = np.cumsum(counts) - counts
-    lo, hi = ranked[start + (counts - 1) // 2], ranked[start + counts // 2]
-    return Grouping(inverse, _median_pair_params(lo, hi))
+    pairs = _median_pairs(*_sorted_columns(truth.rows), inverse, counts)
+    return Grouping(inverse, _median_pair_params(*pairs))
+
+
+def _sorted_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per child state s, ``order[s]`` lists the rows by ascending value (stably) and
+    ``ranked[s * n_rows + j]`` holds ``rows[order[s, j], s]``: what :func:`_median_pairs` reads."""
+    k = rows.shape[1]
+    order = np.argsort(rows.T, axis=1, kind="stable")
+    return order, np.take(rows, order * k + np.arange(k)[:, None]).ravel()
+
+
+def _median_pairs(
+    order: np.ndarray, ranked: np.ndarray, labels: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Each group's two central order statistics per child state, lo then hi.
+
+    ``labels`` (..., n_rows) give each row's group, 0 .. n_groups - 1, and
+    ``counts`` (..., n_groups) the groups' sizes, all positive; leading axes
+    hold a batch of groupings. A column's labels, read in value order and
+    stably sorted, list each group's members together and ascending, so its
+    pair lies at offsets (count - 1) // 2 and count // 2 from its start.
+    Returns shape (2, ..., n_groups, child_card).
+    """
+    k, n_rows = order.shape
+    # labels this small make numpy's stable sort a radix sort
+    small = labels.astype(np.min_scalar_type(counts.shape[-1]), copy=False)
+    members = np.argsort(small[..., order], axis=-1, kind="stable")  # (..., k, n_rows)
+    column = np.arange(k) * n_rows
+    batch = np.arange(0, members.size, k * n_rows).reshape(*labels.shape[:-1], 1, 1)
+    central = np.stack((counts - 1, counts)) // 2 + np.cumsum(counts, axis=-1) - counts
+    return np.take(ranked, np.take(members, batch + column + central[..., None]) + column)
 
 
 def _median_pair_params(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

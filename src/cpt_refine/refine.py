@@ -51,6 +51,8 @@ from .cpt import (
     Cpt,
     Variable,
     _median_pair_params,
+    _median_pairs,
+    _sorted_columns,
     config_table,
     expand_grouped,
     fit_grouping,
@@ -355,14 +357,12 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
 
     Searches every parent subset of that size, every gate, and every proper
     binarization of each divorced parent. All candidates of one subset are
-    scored at once by :func:`_divorce_subset_scores`, which fits only one
-    candidate of each distinct grouping: by De Morgan an OR gate over some
-    binarizations is the negated AND gate over their complements, and
-    complementing an XOR input negates its output, and a negated gate output
-    groups the rows as before. Ties break lexicographically on (parent
-    subset, gate, binarization): subsets, gates and subsets of states are
-    taken in sorted order and only strict improvements are kept. Only the
-    winner is expanded into a CPT.
+    scored at once by :func:`_divorce_subset_scores`, which reads every
+    group's median as :func:`fit_grouping` does and fits each distinct
+    grouping once (see :func:`_divorce_plan`). Ties break lexicographically
+    on (parent subset, gate, binarization): subsets, gates and subsets of
+    states are taken in sorted order and only strict improvements are kept.
+    Only the winner is expanded into a CPT.
     """
     n = len(truth.parents)
     if n < 2:
@@ -450,12 +450,13 @@ def _divorce_plan(sub_cards: tuple[int, ...]) -> _DivorcePlan:
 
 # Candidates of one subset are scored in chunks of at most this many
 # (candidate, row, child state) elements, which bounds each working array to
-# 64 KiB whatever the subset's candidate count. That stays under the size at
-# which glibc's malloc maps fresh pages for a block (128 KiB by default), so
-# every chunk reuses heap memory. At 2^15 elements the divorce search of a
-# 200-row table with a 3-state child took about 2000 minor page faults per
-# call, 10-15% of its time spent in the kernel zeroing pages; at 2^13 it takes
-# none, at about the same speed.
+# 64 KiB whatever the subset's candidate count: the largest, the median read's
+# int64 sort permutation and the float differences, hold 2^13 x 8 B. That stays
+# under the size at which glibc's malloc maps fresh pages for a block (128 KiB
+# by default), so every chunk reuses heap memory. At 2^15 elements the divorce
+# search of a 200-row table with a 3-state child took about 2000 minor page
+# faults per call, 10-15% of its time spent in the kernel zeroing pages; at
+# 2^13 it takes none, at about the same speed.
 _DIVORCE_CHUNK_ELEMENTS = 1 << 13
 
 
@@ -468,21 +469,15 @@ def _divorce_subset_scores(
     of ``itertools.product`` over :func:`_binarizations` of each divorced
     parent. ``states`` is ``config_table`` of the truth's parents and
     ``plan`` :func:`_divorce_plan` of the subset's state counts. Only the
-    plan's ``scored`` candidates are fitted (every AND and about one XOR in
-    2^len(subset)): an OR candidate is the negated AND over the
-    complemented binarizations, and complementing XOR inputs at most negates
-    its output, so each other candidate has a fitted one's groups with the
-    gate values swapped, and its score, as the same per-row differences
-    summed in the same order.
+    plan's ``scored`` candidates are fitted; each other candidate has a
+    fitted one's groups with the gate values swapped, and so its score, as
+    the same per-row differences summed in the same order.
 
-    The truth is laid out as (subset configuration, remaining-parent
-    configuration, state) and sorted once along the subset axis. A
-    candidate's gate output per subset configuration then marks which sorted
-    entries belong to each (remaining configuration, gate value) group, and
-    a group's median pair is read at the sorted positions where the running
-    member count reaches the group's central ranks. The medians become
-    distributions by the same step as :func:`fit_grouping`, and the score
-    sums the (rows, states) differences in canonical row order, as
+    A candidate groups the rows by remaining-parent configuration and gate
+    value, label 2 * rem + gate. The truth's columns are sorted once, and
+    each chunk of candidates reads its groups' median pairs and turns them
+    into distributions by the two steps :func:`fit_grouping` takes. The
+    score sums the (rows, states) differences in canonical row order, as
     :func:`score_sum_tvd` does.
     """
     cards = truth.parent_cards
@@ -492,13 +487,7 @@ def _divorce_subset_scores(
     sub = _block_config_index(states, subset, cards)
     n_sub = plan.inputs[0].shape[1]
     n_rem = n_rows // n_sub
-
-    grid = np.empty((n_sub, n_rem, k))
-    grid[sub, rem] = truth.rows
-    order = np.argsort(grid, axis=0)
-    # flat index of ranked[i, r, s] is i * n_rem * k + cell[r, s]
-    ranked = np.take_along_axis(grid, order, axis=0).ravel()
-    cell = np.arange(n_rem * k).reshape(n_rem, k)
+    order, ranked = _sorted_columns(truth.rows)
 
     total = len(plan.scored)
     scores = np.empty(total)
@@ -508,26 +497,13 @@ def _divorce_subset_scores(
         n_cand = len(gate)
         ones = sum(t[j] for t, j in zip(plan.inputs, picks))  # (candidates, subset configurations)
         gate_out = plan.gate_table[gate[:, None], ones]
-        # rank1[c, i, r, s]: how many of the i + 1 smallest entries of column (r, s) have gate 1;
-        # a running sum over slices, as np.cumsum along this axis is about 10x slower
-        rank1 = gate_out[:, order].astype(np.int32)
-        for i in range(1, n_sub):
-            rank1[:, i] += rank1[:, i - 1]
-        rank0 = np.arange(1, n_sub + 1, dtype=np.int32)[:, None, None] - rank1
-        n1 = rank1[:, -1, 0, 0]
-        pairs = []
-        for rank, count in ((rank0, n_sub - n1), (rank1, n1)):
-            for central in ((count - 1) // 2, count // 2):
-                # entries ranked at or below ``central`` precede the member of that rank
-                pos = (rank <= central[:, None, None, None]).sum(axis=1)
-                pairs.append(np.take(ranked, pos * (n_rem * k) + cell))
-        # (candidates, remaining configuration, gate value, state); group label 2 * rem + gate
-        lo = np.stack(pairs[0::2], axis=2).reshape(n_cand, 2 * n_rem, k)
-        hi = np.stack(pairs[1::2], axis=2).reshape(n_cand, 2 * n_rem, k)
-        params = _median_pair_params(lo, hi).reshape(-1, k)
-        labels = 2 * n_rem * np.arange(n_cand)[:, None] + 2 * rem + gate_out[:, sub]
-        diff = np.abs(truth.rows - np.take(params, labels, axis=0)).reshape(n_cand, -1)
-        scores[start:start + n_cand] = 0.5 * diff.sum(axis=1)
+        labels = 2 * rem + gate_out[:, sub]
+        n1 = gate_out.sum(axis=1)
+        counts = np.tile(np.stack((n_sub - n1, n1), axis=1), n_rem)
+        params = _median_pair_params(*_median_pairs(order, ranked, labels, counts))
+        labels += 2 * n_rem * np.arange(n_cand)[:, None]
+        diff = np.abs(truth.rows - np.take(params.reshape(-1, k), labels, axis=0))
+        scores[start:start + n_cand] = 0.5 * diff.reshape(n_cand, -1).sum(axis=1)
     return scores[plan.source]
 
 

@@ -157,6 +157,15 @@ class TestKl:
         with pytest.raises(ValidationError):
             kl_row((0.5, 0.5), (0.5, 0.5), epsilon=0.0)
 
+    @settings(max_examples=200)
+    @given(states=st.integers(min_value=2, max_value=5),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_never_negative(self, states, seed):
+        # Gibbs' inequality; unclamped, about half of all 3-state rows give kl_row(p, p) < 0
+        p, q = np.random.default_rng(seed).dirichlet(np.ones(states), size=2)
+        assert kl_row(p, q) >= 0
+        assert kl_row(p, p) >= 0
+
 
 class TestMedianLad:
     def test_pair_midpoint(self):
@@ -250,22 +259,32 @@ class TestGroupings:
     @example(sizes=[1, 2, 3, 4], child_card=2, seed=0)
     @example(sizes=[1, 2, 3, 4], child_card=3, seed=0)
     def test_matches_per_group_median_loop(self, sizes, child_card, seed):
-        # bitwise oracle: one np.median per group, renormalised as the fit documents
         rng = np.random.default_rng(seed)
         n_rows = sum(sizes)
         truth = random_cpt(rng, (n_rows,), child_card=child_card)
         names = rng.choice(np.arange(-50, 50), size=len(sizes), replace=False)
         labels = rng.permutation(np.repeat(names, sizes))
         grouping = fit_grouping(truth, labels)
-        oracle = []
-        for name in sorted(names):
-            median = np.median(truth.rows[labels == name], axis=0)
-            total = median.sum()
-            oracle.append(median / total if abs(total - 1.0) > 1e-12 else median)
+        oracle = _per_group_medians(truth, labels)
         assert np.array_equal(grouping.params, np.array(oracle))
         assert np.array_equal(np.sort(names)[grouping.labels], labels)
         expanded = expand_grouped(truth, grouping)
         assert np.array_equal(expanded.rows, np.array(oracle)[grouping.labels])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_many_tied_groups_match_per_group_median_loop(self, seed):
+        # 300 groups read their medians with uint16 labels; rows of tenths tie often
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 5, size=300)
+        assert np.min_scalar_type(len(sizes)) == np.uint16
+        base = random_cpt(rng, (int(sizes.sum()),), child_card=3)
+        rows = rng.multinomial(10, np.full(3, 1 / 3), size=base.n_rows) / 10
+        truth = Cpt(base.child, base.parents, rows)
+        names = rng.choice(np.arange(-5000, 5000), size=len(sizes), replace=False)
+        labels = rng.permutation(np.repeat(names, sizes))
+        grouping = fit_grouping(truth, labels)
+        assert np.array_equal(grouping.params, np.array(_per_group_medians(truth, labels)))
+        assert np.array_equal(np.sort(names)[grouping.labels], labels)
 
     @pytest.mark.parametrize("states", range(2, 11))
     def test_median_pair_sums_match_numpy_sum(self, states):
@@ -282,6 +301,17 @@ class TestGroupings:
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= 2e-15
+
+
+def _per_group_medians(truth, labels):
+    """Bitwise oracle for fit_grouping: one np.median per group in label order,
+    renormalised as the fit documents."""
+    oracle = []
+    for name in np.unique(labels):
+        median = np.median(truth.rows[labels == name], axis=0)
+        total = median.sum()
+        oracle.append(median / total if abs(total - 1.0) > 1e-12 else median)
+    return oracle
 
 
 class TestCptValidation:

@@ -239,6 +239,13 @@ class TestScoreCommand:
         assert code == 0
         assert out.strip() == "0.0000"
 
+    def test_truth_vs_itself_under_kl(self, capsys):
+        # row by row the smoothed KL can round a few ulps below zero; it is clamped at 0
+        path = str(fixture_path("anxiety"))
+        code, out, _ = _run(capsys, ["score", path, path, "--metric", "kl"])
+        assert code == 0
+        assert out.strip() == "0.0000"
+
     def test_kl_metric(self, capsys):
         code, out, _ = _run(
             capsys,
@@ -630,6 +637,17 @@ class TestMethodCommands:
         assert "mechanism blocks {Depression, Sex, SleepDuration} | {Hypertension}" in out
         assert "free parameters: 14" in out
         load_cpt(out_path)
+
+    def test_sici_partition_leaving_out_parents_exits_2(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran with a partition that leaves out parents")
+
+        monkeypatch.setattr("cpt_refine.optimizer._descend", no_search)
+        argv = ["sici", str(fixture_path("anxiety")), "--partition", "Depression"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == ("error: partition 'Depression' leaves out "
+                       "Hypertension, Sex, SleepDuration\n")
 
     def test_fixtures_command(self, capsys, tmp_path):
         dest = tmp_path / "data"
