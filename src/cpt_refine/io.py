@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,11 +49,18 @@ def _config_labels(cpt_parents: Sequence[Variable], state_row: Sequence[int]) ->
     return ", ".join(f"{v.name}={v.states[s]}" for v, s in zip(cpt_parents, state_row))
 
 
-def _parse_variable(obj, what: str) -> Variable:
+def _parse_variable(obj, what: str, path: Path) -> Variable:
+    """A child or parent entry of document ``path``; errors name the document and the entry."""
+    name = obj.get("name") if isinstance(obj, dict) else None
+    if not isinstance(name, str):
+        raise ValidationError(f"{path}: {what} needs a 'name' that is a JSON string")
+    states = obj.get("states")
+    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+        raise ValidationError(f"{path}: {what} {name!r} needs 'states' that is a list of strings")
     try:
-        return Variable(str(obj["name"]), tuple(str(s) for s in obj["states"]))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed {what} entry: {exc}") from exc
+        return Variable(name, tuple(states))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _row_fault(
@@ -109,12 +116,12 @@ def load_cpt(path: str | Path) -> Cpt:
     # JSON true loads as Python True, which equals 1 and is an int
     if isinstance(doc.get("format"), bool) or doc.get("format") != SCHEMA_FORMAT:
         raise ValidationError(f"{path}: unsupported format {doc.get('format')!r}")
-    child = _parse_variable(doc.get("child", {}), "child")
+    child = _parse_variable(doc.get("child"), "child", path)
     parents_doc = doc.get("parents", [])
     rows_doc = doc.get("rows", [])
     if not isinstance(parents_doc, list) or not isinstance(rows_doc, list):
         raise ValidationError(f"{path}: 'parents' and 'rows' must be JSON lists")
-    parents = tuple(_parse_variable(p, "parent") for p in parents_doc)
+    parents = tuple(_parse_variable(p, f"parent {k + 1}", path) for k, p in enumerate(parents_doc))
     names = [child.name, *(v.name for v in parents)]
     if len(set(names)) != len(names):
         raise ValidationError(f"{path}: child and parent names must be distinct, got {names}")
@@ -207,11 +214,19 @@ def save_cpt(cpt: Cpt, path: str | Path) -> None:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` through a temporary file and a rename, with the permissions
+    ``open(path, "w")`` gives: an existing file keeps its own, a new one gets 0o666
+    less the umask."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    # O_EXCL opens no file that exists; the kernel applies the umask, as open() does
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        if path.exists():
+            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -235,13 +250,17 @@ class ReportRow:
     summary: str
 
 
-def report_csv_text(rows: Sequence[ReportRow]) -> str:
-    def quote(s: str) -> str:
-        return '"' + s.replace('"', '""') + '"' if ("," in s or '"' in s) else s
+def _csv_field(s: str) -> str:
+    """``s`` as a CSV field, quoted as ``csv.writer`` quotes under ``QUOTE_MINIMAL``."""
+    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
 
+
+def report_csv_text(rows: Sequence[ReportRow]) -> str:
     lines = ["method,optimal_score_4dp,free_parameters,parameter_savings,spec_summary"]
     for r in rows:
-        lines.append(f"{r.method},{r.score:.4f},{r.free_params},{r.savings},{quote(r.summary)}")
+        lines.append(
+            f"{r.method},{r.score:.4f},{r.free_params},{r.savings},{_csv_field(r.summary)}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -265,10 +284,11 @@ def side_by_side_csv_text(truth: Cpt, methods: Mapping[str, Cpt]) -> str:
     header = ["row", *(v.name for v in truth.parents)]
     for name in ("truth", *methods):
         header.extend(f"{name}:{s}" for s in truth.child.states)
-    lines = [",".join(header)]
+    lines = [",".join(map(_csv_field, header))]
+    labels = [[_csv_field(s) for s in v.states] for v in truth.parents]
     for k in range(truth.n_rows):
         cells = [str(k + 1)]
-        cells.extend(v.states[s] for v, s in zip(truth.parents, states[k]))
+        cells.extend(quoted[s] for quoted, s in zip(labels, states[k]))
         for cpt in (truth, *methods.values()):
             cells.extend(f"{p:.4f}" for p in cpt.rows[k])
         lines.append(",".join(cells))

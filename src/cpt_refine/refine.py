@@ -11,13 +11,12 @@ Each grouping is an integer label per row (rows with equal labels share):
                  any bipartition of the rows is admissible.
 
 ``prune_best`` and ``divorce_best`` search the first two exhaustively. The
-divorce search scores all (gate, binarization) candidates of one parent
+divorce search scores the (gate, binarization) candidates of one parent
 subset together, reading every group's median from one sort of the truth
-and fitting each distinct grouping once (OR and complemented-XOR
-candidates take the scores of AND and XOR ones), and only its winner is
-expanded into a CPT. ``evaluate_spec`` is the one path
-from any spec to a reported fit (a grouping spec's row labels are fitted,
-expanded and scored once), and every search reports it for its winner.
+and fitting each distinct grouping once, and only its winner is expanded
+into a CPT. ``evaluate_spec`` is the one path from any spec to a reported
+fit (a grouping spec's row labels are fitted, expanded and scored once),
+and every search reports it for its winner.
 
 The remaining two are causal-interaction models evaluated forward from a
 small set of mechanism parameters; their rows are generally all distinct and
@@ -356,13 +355,14 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
     """Exhaustive search over divorces of ``block_size`` parents (2 up to all of them).
 
     Searches every parent subset of that size, every gate, and every proper
-    binarization of each divorced parent. All candidates of one subset are
+    binarization of each divorced parent. The candidates of one subset are
     scored at once by :func:`_divorce_subset_scores`, which reads every
     group's median as :func:`fit_grouping` does and fits each distinct
     grouping once (see :func:`_divorce_plan`). Ties break lexicographically
     on (parent subset, gate, binarization): subsets, gates and subsets of
-    states are taken in sorted order and only strict improvements are kept.
-    Only the winner is expanded into a CPT.
+    states are taken in sorted order and only strict improvements are kept,
+    so the winner is the first, fitted candidate of its grouping. Only the
+    winner is expanded into a CPT.
     """
     n = len(truth.parents)
     if n < 2:
@@ -371,6 +371,7 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
         raise ValidationError(f"block size must be in [2, {n}], got {block_size}")
     cards = truth.parent_cards
     states = config_table(cards)
+    columns = _sorted_columns(truth.rows)
     plans: dict[tuple[int, ...], _DivorcePlan] = {}  # by the divorced parents' state counts
     best: tuple[float, tuple[int, ...], int] | None = None
     for subset in itertools.combinations(range(n), block_size):
@@ -378,10 +379,10 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
         plan = plans.get(sub_cards)
         if plan is None:
             plan = plans[sub_cards] = _divorce_plan(sub_cards)
-        scores = _divorce_subset_scores(truth, subset, states, plan)
-        c = int(np.argmin(scores))
-        if best is None or scores[c] < best[0]:
-            best = (scores[c], subset, c)
+        scores = _divorce_subset_scores(truth, subset, states, columns, plan)
+        f = int(np.argmin(scores))
+        if best is None or scores[f] < best[0]:
+            best = (scores[f], subset, int(plan.fitted[f]))
     _, subset, c = best
     choices = [_binarizations(cards[i]) for i in subset]
     gate, *picks = np.unravel_index(c, (len(GATES), *map(len, choices)))
@@ -391,61 +392,40 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
 
 @dataclass(frozen=True)
 class _DivorcePlan:
-    """What scoring the divorces of a subset needs from its parents' state counts alone.
+    """Which divorces of a subset to fit, from its parents' state counts alone.
 
-    ``inputs[j]`` is the (binarizations, subset configurations) table of
-    whether divorced parent j's gate input reads 1, and ``gate_table[g, m]``
-    gate g's output when m inputs read 1. ``scored`` holds, ascending, the
-    search-order indices of the candidates that are fitted, and
-    ``source[c]`` the position in ``scored`` of the candidate whose score
-    candidate c takes.
+    ``fitted`` holds, ascending, the search-order index of the first
+    candidate of each distinct grouping, and ``patterns[f]`` that
+    candidate's gate output per subset configuration.
     """
 
-    shape: tuple[int, ...]  # (gates, binarizations of each divorced parent)
-    inputs: tuple[np.ndarray, ...]
-    gate_table: np.ndarray
-    scored: np.ndarray
-    source: np.ndarray
+    fitted: np.ndarray
+    patterns: np.ndarray
 
 
 def _divorce_plan(sub_cards: tuple[int, ...]) -> _DivorcePlan:
     """The candidates of a divorce of parents with these state counts, and which to fit.
 
-    A candidate's grouping is its gate output per subset configuration, up
-    to negation. Complementing reverses search order: of two sets of one
-    size the earlier holds the smallest state that lies in just one of
-    them, so of their complements the other one does, and sizes rise as
-    complement sizes fall. So binarization i of B and binarization
-    B - 1 - i are complements. Every AND candidate is
-    fitted. The OR candidate over binarizations (i_j) is the negated AND
-    over (B_j - 1 - i_j), which reverses the AND scores as a whole. An XOR
-    candidate takes the score of the XOR whose every binarization is the
-    earlier of its complement pair, min(i_j, B_j - 1 - i_j); only those are
-    fitted. Each fitted candidate comes first in search order among those
-    that copy it, so every score, and any error, is the one fitting each
-    candidate alone gives.
+    Candidates are in search order: gate outermost, then the binarizations
+    of ``itertools.product`` over :func:`_binarizations` of each divorced
+    parent. Two candidates group the rows alike exactly when their gate
+    outputs over the subset configurations agree up to negation, so each
+    output is keyed with its first bit cleared and the first candidate of
+    each key is fitted. Every other candidate comes later than the first of
+    its key and scores the same, as the same per-row differences summed in
+    the same order, or fails as it does.
     """
-    choices = [_binarizations(c) for c in sub_cards]
     sub_states = config_table(sub_cards)
-    inputs = tuple(
-        np.array([[s in b for s in range(c)] for b in ch])[:, sub_states[:, j]]
-        for j, (c, ch) in enumerate(zip(sub_cards, choices))
-    )
-    gate_table = _gate_outputs(np.arange(len(sub_cards) + 1), len(sub_cards))
-
-    counts = tuple(map(len, choices))
-    n_and = math.prod(counts)
-    halves = [np.arange(b // 2) for b in counts]
-    earlier = [np.minimum(np.arange(b), np.arange(b)[::-1]) for b in counts]
-    xor_fitted = np.ravel_multi_index(np.ix_(*halves), counts).ravel()
-    xor_source = np.ravel_multi_index(np.ix_(*earlier), [b // 2 for b in counts]).ravel()
-    return _DivorcePlan(
-        (len(GATES), *counts),
-        inputs,
-        gate_table,
-        np.concatenate([np.arange(n_and), 2 * n_and + xor_fitted]),
-        np.concatenate([np.arange(n_and), np.arange(n_and)[::-1], n_and + xor_source]),
-    )
+    ones = np.zeros(len(sub_states), dtype=np.uint8)  # per candidate, inputs that read 1
+    for j, c in enumerate(sub_cards):
+        member = np.array([[s in b for s in range(c)] for b in _binarizations(c)], dtype=np.uint8)
+        ones = ones[..., None, :] + member[:, sub_states[:, j]]
+    outputs = _gate_outputs(ones, len(sub_cards)).reshape(-1, len(sub_states))
+    # packed, one void scalar per candidate; np.unique sorts stably, so it returns first indices
+    packed = np.packbits(outputs ^ outputs[:, :1], axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    fitted = np.sort(np.unique(keys, return_index=True)[1])
+    return _DivorcePlan(fitted, outputs[fitted])
 
 
 # Candidates of one subset are scored in chunks of at most this many
@@ -461,21 +441,20 @@ _DIVORCE_CHUNK_ELEMENTS = 1 << 13
 
 
 def _divorce_subset_scores(
-    truth: Cpt, subset: tuple[int, ...], states: np.ndarray, plan: _DivorcePlan
+    truth: Cpt,
+    subset: tuple[int, ...],
+    states: np.ndarray,
+    columns: tuple[np.ndarray, np.ndarray],
+    plan: _DivorcePlan,
 ) -> np.ndarray:
-    """Sum-TVD of every divorce of ``subset``, bitwise equal to fitting each alone.
+    """Sum-TVD of each of the plan's fitted divorces of ``subset``, in ``plan.fitted``
+    order, bitwise equal to fitting each alone.
 
-    Candidates are in search order: gate outermost, then the binarizations
-    of ``itertools.product`` over :func:`_binarizations` of each divorced
-    parent. ``states`` is ``config_table`` of the truth's parents and
-    ``plan`` :func:`_divorce_plan` of the subset's state counts. Only the
-    plan's ``scored`` candidates are fitted; each other candidate has a
-    fitted one's groups with the gate values swapped, and so its score, as
-    the same per-row differences summed in the same order.
-
-    A candidate groups the rows by remaining-parent configuration and gate
-    value, label 2 * rem + gate. The truth's columns are sorted once, and
-    each chunk of candidates reads its groups' median pairs and turns them
+    ``states`` is ``config_table`` of the truth's parents, ``columns``
+    :func:`_sorted_columns` of its rows and ``plan`` :func:`_divorce_plan` of
+    the subset's state counts. A candidate groups the rows by
+    remaining-parent configuration and gate value, label 2 * rem + gate.
+    Each chunk of candidates reads its groups' median pairs and turns them
     into distributions by the two steps :func:`fit_grouping` takes. The
     score sums the (rows, states) differences in canonical row order, as
     :func:`score_sum_tvd` does.
@@ -485,26 +464,22 @@ def _divorce_subset_scores(
     remaining = [i for i in range(len(cards)) if i not in subset]
     rem = _block_config_index(states, remaining, cards)
     sub = _block_config_index(states, subset, cards)
-    n_sub = plan.inputs[0].shape[1]
+    n_fitted, n_sub = plan.patterns.shape
     n_rem = n_rows // n_sub
-    order, ranked = _sorted_columns(truth.rows)
 
-    total = len(plan.scored)
-    scores = np.empty(total)
+    scores = np.empty(n_fitted)
     step = max(1, _DIVORCE_CHUNK_ELEMENTS // (n_rows * k))
-    for start in range(0, total, step):
-        gate, *picks = np.unravel_index(plan.scored[start:start + step], plan.shape)
-        n_cand = len(gate)
-        ones = sum(t[j] for t, j in zip(plan.inputs, picks))  # (candidates, subset configurations)
-        gate_out = plan.gate_table[gate[:, None], ones]
+    for start in range(0, n_fitted, step):
+        gate_out = plan.patterns[start:start + step]  # (candidates, subset configurations)
+        n_cand = len(gate_out)
         labels = 2 * rem + gate_out[:, sub]
         n1 = gate_out.sum(axis=1)
         counts = np.tile(np.stack((n_sub - n1, n1), axis=1), n_rem)
-        params = _median_pair_params(*_median_pairs(order, ranked, labels, counts))
+        params = _median_pair_params(*_median_pairs(*columns, labels, counts))
         labels += 2 * n_rem * np.arange(n_cand)[:, None]
         diff = np.abs(truth.rows - np.take(params.reshape(-1, k), labels, axis=0))
         scores[start:start + n_cand] = 0.5 * diff.reshape(n_cand, -1).sum(axis=1)
-    return scores[plan.source]
+    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Documents, reports, and the command-line interface."""
 
+import csv
 import errno
 import json
 import os
+import stat
 import warnings
 
 import numpy as np
@@ -118,6 +120,30 @@ class TestDocuments:
         doc = self._doc()
         doc["format"] = 2
         self._expect_error(doc, tmp_path, "unsupported format")
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda doc: doc["child"].update(states="ny"),
+             "child 'Anxiety' needs 'states' that is a list of strings"),
+            (lambda doc: doc["parents"][1].update(name=None),
+             "parent 2 needs a 'name' that is a JSON string"),
+            (lambda doc: doc["parents"][0].update(states=[0, 1]),
+             "parent 1 'Depression' needs 'states' that is a list of strings"),
+            (lambda doc: doc.update(child=["Anxiety"]),
+             "child needs a 'name' that is a JSON string"),
+            (lambda doc: doc["parents"][2].update(states=["Male", "Male"]),
+             "variable 'Sex' has duplicate state labels"),
+            (lambda doc: doc["child"].update(states=["No"]),
+             r"variable 'Anxiety' needs >= 2 states"),
+        ],
+        ids=["string-states", "null-name", "number-states", "list-child",
+             "duplicate-states", "one-state"],
+    )
+    def test_variables_need_string_labels(self, tmp_path, edit, match):
+        doc = self._doc()
+        edit(doc)
+        self._expect_error(doc, tmp_path, r"bad\.json: " + match + "$")
 
     def test_wrong_probability_count_rejected(self, tmp_path):
         doc = self._doc()
@@ -315,12 +341,13 @@ class TestScoreCommand:
             _NO_ROWS_48_PARENTS,
             _anxiety_with(lambda doc: doc["rows"][6].update(probs=[-0.5, 1.5])),
             _anxiety_with(lambda doc: doc["rows"][6].update(probs=[float("inf"), 0.5])),
+            _anxiety_with(lambda doc: doc["child"].update(states="ny")),
         ],
         ids=["empty-object", "nan-probability", "list-document", "non-object-row",
              "string-probabilities", "non-list-parents", "non-list-rows",
              "huge-integer-probability", "huge-integer-literal", "duplicate-parent-names",
              "boolean-probabilities", "boolean-format", "48-parents-no-rows",
-             "out-of-range-probabilities", "infinite-probability"],
+             "out-of-range-probabilities", "infinite-probability", "string-states"],
     )
     def test_validation_failure_exits_2(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -341,6 +368,25 @@ class TestScoreCommand:
         code, _, err = _run(capsys, [a.format(tmp=tmp_path) for a in argv])
         assert code == 2
         assert err.startswith("error:") and "No such file or directory" in err
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_files_take_the_umask(self, capsys, tmp_path, umask, mode):
+        out = tmp_path / "p.json"
+        old = os.umask(umask)
+        try:
+            code, _, err = _run(capsys, ["prune", str(fixture_path("anxiety")), "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert code == 0, err
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    def test_rewritten_file_keeps_its_mode(self, capsys, tmp_path):
+        out = tmp_path / "p.json"
+        out.write_text("{}")
+        out.chmod(0o640)
+        code, _, err = _run(capsys, ["prune", str(fixture_path("anxiety")), "--out", str(out)])
+        assert code == 0, err
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
 
     def test_missing_out_directory_fails_before_any_search(self, capsys, tmp_path, monkeypatch):
         def no_search(*args, **kwargs):
@@ -728,6 +774,34 @@ class TestReproduceCommand:
         assert [line.split(",")[0] for line in lines[1:]] == [
             "pruning", "divorcing", "scm", "ici", "sici"
         ]
+
+    def test_labels_with_commas_and_quotes_read_back(self, capsys, tmp_path):
+        sleep = Variable("Sleep, hours", ("<6", "6-9, most"))
+        mood = Variable('Mood "now"', ("low", "high\nish"))
+        child = Variable("Y", ("n", "y, yes"))
+        rows = random_cpt(np.random.default_rng(53), (2, 2)).rows
+        truth_path = tmp_path / "odd.json"
+        save_cpt(Cpt(child, (sleep, mood), rows), truth_path)
+        report = tmp_path / "report.csv"
+        code, _, err = _run(
+            capsys,
+            ["reproduce", str(truth_path), "--out", str(report), "--restarts", "1",
+             "--population", "20", "--max-generations", "10"],
+        )
+        assert code == 0, err
+        with open(tmp_path / "report_cpts.csv", newline="", encoding="utf-8") as fh:
+            header, *table = csv.reader(fh)
+        methods = ("truth", "pruning", "divorcing", "scm", "ici", "sici")
+        assert header == ["row", sleep.name, mood.name,
+                          *(f"{m}:{s}" for m in methods for s in child.states)]
+        assert [len(line) for line in table] == [len(header)] * 4
+        assert [line[1:3] for line in table] == [
+            [s, m] for m in mood.states for s in sleep.states
+        ]
+        with open(report, newline="", encoding="utf-8") as fh:
+            summary = list(csv.reader(fh))
+        assert {len(line) for line in summary} == {5}
+        assert summary[1][4] in (f"prune {sleep.name}", f"prune {mood.name}")
 
     def test_same_seed_runs_are_byte_identical(self, capsys, tmp_path):
         first, _ = self._reproduce(capsys, tmp_path, "one")

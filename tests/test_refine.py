@@ -34,7 +34,7 @@ from cpt_refine import (
     score_sum_tvd,
     sici_evaluate,
 )
-from cpt_refine.cpt import config_table
+from cpt_refine.cpt import _sorted_columns, config_table
 from cpt_refine import refine
 from cpt_refine.refine import _mech_joint, canonical_partition
 from cpt_refine.errors import ShapeMismatchError, ValidationError
@@ -234,10 +234,37 @@ def _loop_divorce_scores(truth, subset):
 
 
 def _divorce_subset_scores(truth, subset):
-    """Every divorce score of ``subset``, with the configuration table and plan a search builds."""
+    """The plan's fitted candidates of ``subset`` and their scores, with the configuration
+    table, sorted columns and plan a search builds."""
     cards = truth.parent_cards
     plan = refine._divorce_plan(tuple(cards[i] for i in subset))
-    return refine._divorce_subset_scores(truth, subset, config_table(cards), plan)
+    columns = _sorted_columns(truth.rows)
+    scores = refine._divorce_subset_scores(truth, subset, config_table(cards), columns, plan)
+    return plan.fitted.tolist(), scores.tolist()
+
+
+def _first_of_each_grouping(cards, specs):
+    """Per spec, the index of the first spec whose ``divorce_groups`` partition the rows
+    alike, labels renumbered in order of first appearance."""
+    first = {}
+    out = []
+    for c, spec in enumerate(specs):
+        renumbered = {}
+        labels = divorce_groups(cards, spec).tolist()
+        key = tuple(renumbered.setdefault(g, len(renumbered)) for g in labels)
+        out.append(first.setdefault(key, c))
+    return out
+
+
+def _assert_fitted_scores(truth, subset, specs, scores):
+    """The batched search fits the first candidate of each grouping and gives it the loop's
+    score, and every other candidate's loop score is that of its group's fitted one."""
+    fitted, batched = _divorce_subset_scores(truth, subset)
+    source = _first_of_each_grouping(truth.parent_cards, specs)
+    assert fitted == sorted(set(source))
+    assert batched == [scores[c] for c in fitted]
+    score_of = dict(zip(fitted, batched))
+    assert scores == [score_of[c] for c in source]
 
 
 def _message_or(call):
@@ -308,11 +335,10 @@ class TestDivorceBest:
         truth = (_tie_prone_cpt if rounded else random_cpt)(rng, tuple(cards), child_card)
         loop = {s: _message_or(lambda: _loop_divorce_scores(truth, s)) for s in subsets}
         for subset in subsets:
-            batched = _message_or(lambda: _divorce_subset_scores(truth, subset))
             if isinstance(loop[subset], str):
-                assert batched == loop[subset]
+                assert _message_or(lambda: _divorce_subset_scores(truth, subset)) == loop[subset]
             else:
-                assert batched.tolist() == loop[subset][1]
+                _assert_fitted_scores(truth, subset, *loop[subset])
         # the first strict minimum in (subset, gate, binarization) order, or the loop's first error
         expected = None
         for subset in subsets:
@@ -337,7 +363,7 @@ class TestDivorceBest:
         )
         assert 588 > refine._DIVORCE_CHUNK_ELEMENTS // truth.rows.size
         specs, scores = _loop_divorce_scores(truth, (0, 1))
-        assert _divorce_subset_scores(truth, (0, 1)).tolist() == scores
+        _assert_fitted_scores(truth, (0, 1), specs, scores)
         assert len(specs) == 588
 
     def test_all_zero_median_group_fails_as_the_loop_does(self):
@@ -370,26 +396,25 @@ class TestDivorceBest:
         ids=lambda c: "x".join(map(str, c)),
     )
     def test_plan_fits_the_first_candidate_of_each_grouping(self, sub_cards):
-        # gate patterns over the subset configurations, in search order; a pattern and its
-        # complement group the rows alike, so each is normalised to read 0 at configuration 0
+        # with every parent divorced, a candidate's row labels are its gate outputs
         choices = [_binarizations(c) for c in sub_cards]
-        sub_states = config_table(sub_cards)
-        bits = [np.array([np.isin(sub_states[:, j], b) for b in ch]) for j, ch in enumerate(choices)]
-        picks = np.array(list(itertools.product(*(range(len(ch)) for ch in choices))))
-        ones = sum(b[picks[:, j]] for j, b in enumerate(bits)).astype(int)
-        n = len(sub_cards)
-        patterns = np.concatenate([ones == n, ones > 0, ones % 2 == 1])
-        patterns ^= patterns[:, :1]
-        _, first, cls = np.unique(patterns, axis=0, return_index=True, return_inverse=True)
+        subset = tuple(range(len(sub_cards)))
+        specs = [
+            DivorceSpec(subset, gate, ones)
+            for gate in ("AND", "OR", "XOR")
+            for ones in itertools.product(*choices)
+        ]
+        source = _first_of_each_grouping(sub_cards, specs)
         plan = refine._divorce_plan(sub_cards)
-        assert plan.scored.tolist() == sorted(first.tolist())
-        assert plan.scored[plan.source].tolist() == first[cls.ravel()].tolist()
+        assert plan.fitted.tolist() == sorted(set(source))
+        outputs = [divorce_groups(sub_cards, specs[c]).tolist() for c in plan.fitted]
+        assert plan.patterns.astype(int).tolist() == outputs
+        n = len(sub_cards)
         n_and = math.prod(2**c - 2 for c in sub_cards)
-        assert len(plan.scored) * 2**n == n_and * (2**n + 1)
-        assert len(plan.source) == 3 * n_and
-        counts = {(2, 2): (5, 12), (4, 4): (245, 588), (2, 2, 2): (9, 24)}
+        assert len(plan.fitted) * 2**n == n_and * (2**n + 1)
+        counts = {(2, 2): 5, (4, 4): 245, (2, 2, 2): 9}
         if sub_cards in counts:
-            assert (len(plan.scored), len(plan.source)) == counts[sub_cards]
+            assert len(plan.fitted) == counts[sub_cards]
 
     @pytest.mark.parametrize("rounded", [False, True])
     def test_divorce_of_all_six_parents(self, rounded):
@@ -397,7 +422,7 @@ class TestDivorceBest:
         truth = (_tie_prone_cpt if rounded else random_cpt)(np.random.default_rng(63), (2,) * 6, 2)
         subset = tuple(range(6))
         specs, scores = _loop_divorce_scores(truth, subset)
-        assert _divorce_subset_scores(truth, subset).tolist() == scores
+        _assert_fitted_scores(truth, subset, specs, scores)
         spec, result = divorce_best(truth, block_size=6)
         assert spec == specs[scores.index(min(scores))]
         assert result.score == min(scores)
