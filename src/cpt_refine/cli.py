@@ -317,11 +317,17 @@ def cmd_ici(args) -> int:
 
 def _parse_partition(truth: Cpt, text: str) -> tuple[tuple[int, ...], ...]:
     blocks = []
+    named: set[int] = set()
     for block_text in text.split("|"):
         names = [n.strip() for n in block_text.split(",") if n.strip()]
         if not names:
             raise ValidationError(f"empty block in partition {text!r}")
-        blocks.append(tuple(_parent_index(truth, n) for n in names))
+        block = tuple(_parent_index(truth, n) for n in names)
+        for i in block:
+            if i in named:
+                raise ValidationError(f"partition {text!r} names {truth.parents[i].name} twice")
+            named.add(i)
+        blocks.append(block)
     missing = [v.name for i, v in enumerate(truth.parents) if all(i not in b for b in blocks)]
     if missing:
         raise ValidationError(f"partition {text!r} leaves out {', '.join(missing)}")

@@ -13,10 +13,13 @@ The JSON document schema (``"format": 1``)::
     }
 
 Rows must cover every parent configuration exactly once, in canonical order
-(first listed parent varying fastest). The loader validates a document in
-one pass over its rows and checks all their probabilities as one array; an
-error names the first faulty row. The writer lays the document out as
-``json.dumps(document, indent=2)`` does, writing the text directly.
+(first listed parent varying fastest). The loader checks all rows at once:
+their configurations against the canonical label lists, the types of all
+their probabilities in one pass, then the probabilities as one array. Only
+when that check fails does it go row by row, so that an error names the
+first faulty row. The writer lays the document out as
+``json.dumps(document, indent=2)`` does, filling one row template with
+every row's labels and probabilities in a single %-format.
 Probabilities are stored at full float precision so save(load(x))
 round-trips byte-identically. Reports are
 CSV (comma separated, header row, UTF-8, LF) plus an aligned text table,
@@ -25,6 +28,7 @@ with scores and probabilities printed at 4 decimal places.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -98,6 +102,23 @@ def _row_fault(
     return None
 
 
+def _well_formed_probs(rows_doc: list, canonical: list[list[str]], n_probs: int) -> list | None:
+    """Every row's ``probs`` list when each row is an object whose ``config`` is its
+    canonical label list and whose ``probs`` are ``n_probs`` JSON numbers; None when
+    some row is not, and :func:`_row_fault` must find the first such row."""
+    try:
+        if [entry["config"] for entry in rows_doc] != canonical:
+            return None
+        table = [entry["probs"] for entry in rows_doc]
+    except (TypeError, KeyError):  # a row that is not an object, or lacks a key
+        return None
+    if set(map(type, table)) != {list} or set(map(len, table)) != {n_probs}:
+        return None
+    if not _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(table))):
+        return None
+    return table
+
+
 def load_cpt(path: str | Path) -> Cpt:
     """Load and validate a CPT document.
 
@@ -131,21 +152,27 @@ def load_cpt(path: str | Path) -> Cpt:
         raise ValidationError(
             f"{path}: {len(rows_doc)} rows, need {math.prod(cards)} (one per configuration)"
         )
-    expected = config_table(cards).tolist()
-    labels = lambda k: _config_labels(parents, expected[k])
-    indices_of = [{label: i for i, label in enumerate(v.states)} for v in parents]
+    # each configuration's state labels, in canonical order (first parent fastest)
+    canonical = [
+        list(reversed(c)) for c in itertools.product(*(v.states for v in reversed(parents)))
+    ]
+    labels = lambda k: ", ".join(f"{v.name}={s}" for v, s in zip(parents, canonical[k]))
     n_probs = child.cardinality
 
-    # one pass: rows are checked up to the first structurally faulty one, and the
-    # probabilities of the rows before it are checked together, in row order
-    table = []
     fault = None  # (row index, message tail) of the first faulty row found
-    for k, entry in enumerate(rows_doc):
-        tail = _row_fault(parents, indices_of, expected[k], n_probs, entry)
-        if tail is not None:
-            fault = (k, tail)
-            break
-        table.append(entry["probs"])
+    table = _well_formed_probs(rows_doc, canonical, n_probs)
+    if table is None:
+        # rows are checked up to the first structurally faulty one, and the
+        # probabilities of the rows before it are checked together, in row order
+        expected = config_table(cards).tolist()
+        indices_of = [{label: i for i, label in enumerate(v.states)} for v in parents]
+        table = []
+        for k, entry in enumerate(rows_doc):
+            tail = _row_fault(parents, indices_of, expected[k], n_probs, entry)
+            if tail is not None:
+                fault = (k, tail)
+                break
+            table.append(entry["probs"])
     try:
         probs = np.array(table, dtype=np.float64).reshape(len(table), n_probs)
     except OverflowError:  # an integer too large for a float: find its row
@@ -194,21 +221,28 @@ def save_cpt(cpt: Cpt, path: str | Path) -> None:
 
     The text is ``json.dumps(document, indent=2)`` and a final newline,
     written directly: each label is encoded once, and each probability is
-    its ``float.__repr__``, as in ``json``.
+    its ``float.__repr__``, as in ``json``. The rows are one template, a
+    ``%s`` per label and a ``%r`` per probability, repeated per row and
+    filled by one %-format.
     """
-    labels = [[json.dumps(s) for s in v.states] for v in cpt.parents]
-    rows = [
-        _block("{", [
-            '"config": ' + _block("[", [labels[i][s] for i, s in enumerate(config)], "]", "      "),
-            '"probs": ' + _block("[", list(map(float.__repr__, probs)), "]", "      "),
-        ], "}", "    ")
-        for config, probs in zip(config_table(cpt.parent_cards).tolist(), cpt.rows.tolist())
-    ]
+    n_parents, k = len(cpt.parents), cpt.child.cardinality
+    row = _block("{", [
+        '"config": ' + _block("[", ["%s"] * n_parents, "]", "      "),
+        '"probs": ' + _block("[", ["%r"] * k, "]", "      "),
+    ], "}", "    ")
+    # one line of cells per row: the encoded labels of its configuration, then its
+    # probabilities as Python floats, whose %r is float.__repr__
+    cells = np.empty((cpt.n_rows, n_parents + k), dtype=object)
+    states = config_table(cpt.parent_cards)
+    for i, v in enumerate(cpt.parents):
+        cells[:, i] = np.array([json.dumps(s) for s in v.states], dtype=object)[states[:, i]]
+    cells[:, n_parents:] = cpt.rows.tolist()
+    rows = _block("[", [row] * cpt.n_rows, "]", "  ") % tuple(cells.ravel().tolist())
     text = _block("{", [
         f'"format": {SCHEMA_FORMAT}',
         f'"child": {_variable_text(cpt.child, "  ")}',
         '"parents": ' + _block("[", [_variable_text(v, "    ") for v in cpt.parents], "]", "  "),
-        '"rows": ' + _block("[", rows, "]", "  "),
+        '"rows": ' + rows,
     ], "}", "")
     atomic_write_text(Path(path), text + "\n")
 

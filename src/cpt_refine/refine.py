@@ -10,13 +10,14 @@ Each grouping is an integer label per row (rows with equal labels share):
 * SCM          - a single deterministic intermediate node over all parents;
                  any bipartition of the rows is admissible.
 
-``prune_best`` and ``divorce_best`` search the first two exhaustively. The
-divorce search scores the (gate, binarization) candidates of one parent
-subset together, reading every group's median from one sort of the truth
-and fitting each distinct grouping once, and only its winner is expanded
-into a CPT. ``evaluate_spec`` is the one path from any spec to a reported
-fit (a grouping spec's row labels are fitted, expanded and scored once),
-and every search reports it for its winner.
+``prune_best`` and ``divorce_best`` search the first two exhaustively. Both
+score their candidates in batches through one scorer, which reads every
+group's median from one sort of the truth: the prunes of parents with the
+same state count together, and the (gate, binarization) candidates of one
+parent subset together, fitting each distinct grouping once. Only a
+search's winner is expanded into a CPT. ``evaluate_spec`` is the one path
+from any spec to a reported fit (a grouping spec's row labels are fitted,
+expanded and scored once), and every search reports it for its winner.
 
 The remaining two are causal-interaction models evaluated forward from a
 small set of mechanism parameters; their rows are generally all distinct and
@@ -273,8 +274,11 @@ def prune_groups(parent_cards: Sequence[int], spec: PruneSpec) -> np.ndarray:
     cards = tuple(int(c) for c in parent_cards)
     if not 0 <= spec.parent < len(cards):
         raise ValidationError(f"parent index {spec.parent} out of range")
-    keep = [i for i in range(len(cards)) if i != spec.parent]
-    return _block_config_index(config_table(cards), keep, cards)
+    # a row's index over the other parents: the parents before the pruned one
+    # keep their strides, and those after it lose its factor
+    stride = math.prod(cards[:spec.parent])
+    row = np.arange(math.prod(cards))
+    return row % stride + row // (stride * cards[spec.parent]) * stride
 
 
 def divorce_groups(parent_cards: Sequence[int], spec: DivorceSpec) -> np.ndarray:
@@ -343,12 +347,36 @@ def _binarizations(card: int) -> list[tuple[int, ...]]:
 
 
 def prune_best(truth: Cpt) -> tuple[PruneSpec, ApproxResult]:
-    """Best single-parent prune under sum-TVD; ties go to the lowest index."""
-    if len(truth.parents) < 2:
+    """Best single-parent prune under sum-TVD; ties go to the lowest index.
+
+    Every prune is scored from one :func:`_sorted_columns` read by
+    :func:`_grouping_scores`, bitwise as :func:`evaluate_spec` scores it;
+    prunes of parents with the same state count are scored together. Only
+    the winner is expanded into a CPT. A prune that cannot be fitted fails
+    the search with the error the first such prune, by index, raises alone.
+    """
+    n = len(truth.parents)
+    if n < 2:
         raise ValidationError("pruning needs at least 2 parents")
-    specs = map(PruneSpec, range(len(truth.parents)))
-    # min keeps the first of equal scores
-    return min(((s, evaluate_spec(truth, s)) for s in specs), key=lambda fit: fit[1].score)
+    cards = truth.parent_cards
+    n_rows, k = truth.rows.shape
+    columns = _sorted_columns(truth.rows)
+    step = max(1, _DIVORCE_CHUNK_ELEMENTS // (n_rows * k))
+    scores = np.empty(n)
+    for card in sorted(set(cards)):
+        pruned = [p for p in range(n) if cards[p] == card]
+        for start in range(0, len(pruned), step):
+            chunk = pruned[start:start + step]
+            labels = np.stack([prune_groups(cards, PruneSpec(p)) for p in chunk])
+            counts = np.full((len(chunk), n_rows // card), card)
+            try:
+                scores[chunk] = _grouping_scores(truth, columns, labels, counts)
+            except ValidationError:
+                for p in range(n):  # raises the error of the first prune, by index, that fails
+                    evaluate_spec(truth, PruneSpec(p))
+                raise
+    spec = PruneSpec(int(np.argmin(scores)))  # the first of equal scores
+    return spec, evaluate_spec(truth, spec)
 
 
 def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxResult]:
@@ -428,15 +456,16 @@ def _divorce_plan(sub_cards: tuple[int, ...]) -> _DivorcePlan:
     return _DivorcePlan(fitted, outputs[fitted])
 
 
-# Candidates of one subset are scored in chunks of at most this many
-# (candidate, row, child state) elements, which bounds each working array to
-# 64 KiB whatever the subset's candidate count: the largest, the median read's
-# int64 sort permutation and the float differences, hold 2^13 x 8 B. That stays
-# under the size at which glibc's malloc maps fresh pages for a block (128 KiB
-# by default), so every chunk reuses heap memory. At 2^15 elements the divorce
-# search of a 200-row table with a 3-state child took about 2000 minor page
-# faults per call, 10-15% of its time spent in the kernel zeroing pages; at
-# 2^13 it takes none, at about the same speed.
+# The divorces of one subset, and the prunes of parents with one state count,
+# are scored in chunks of at most this many (candidate, row, child state)
+# elements, which bounds each working array to 64 KiB whatever the candidate
+# count: the largest, the median read's int64 sort permutation and the float
+# differences, hold 2^13 x 8 B. That stays under the size at which glibc's
+# malloc maps fresh pages for a block (128 KiB by default), so every chunk
+# reuses heap memory. At 2^15 elements the divorce search of a 200-row table
+# with a 3-state child took about 2000 minor page faults per call, 10-15% of
+# its time spent in the kernel zeroing pages; at 2^13 it takes none, at about
+# the same speed.
 _DIVORCE_CHUNK_ELEMENTS = 1 << 13
 
 
@@ -454,10 +483,7 @@ def _divorce_subset_scores(
     :func:`_sorted_columns` of its rows and ``plan`` :func:`_divorce_plan` of
     the subset's state counts. A candidate groups the rows by
     remaining-parent configuration and gate value, label 2 * rem + gate.
-    Each chunk of candidates reads its groups' median pairs and turns them
-    into distributions by the two steps :func:`fit_grouping` takes. The
-    score sums the (rows, states) differences in canonical row order, as
-    :func:`score_sum_tvd` does.
+    Each chunk of candidates is scored by :func:`_grouping_scores`.
     """
     cards = truth.parent_cards
     n_rows, k = truth.rows.shape
@@ -471,15 +497,31 @@ def _divorce_subset_scores(
     step = max(1, _DIVORCE_CHUNK_ELEMENTS // (n_rows * k))
     for start in range(0, n_fitted, step):
         gate_out = plan.patterns[start:start + step]  # (candidates, subset configurations)
-        n_cand = len(gate_out)
         labels = 2 * rem + gate_out[:, sub]
         n1 = gate_out.sum(axis=1)
         counts = np.tile(np.stack((n_sub - n1, n1), axis=1), n_rem)
-        params = _median_pair_params(*_median_pairs(*columns, labels, counts))
-        labels += 2 * n_rem * np.arange(n_cand)[:, None]
-        diff = np.abs(truth.rows - np.take(params.reshape(-1, k), labels, axis=0))
-        scores[start:start + n_cand] = 0.5 * diff.reshape(n_cand, -1).sum(axis=1)
+        scores[start:start + len(gate_out)] = _grouping_scores(truth, columns, labels, counts)
     return scores
+
+
+def _grouping_scores(
+    truth: Cpt, columns: tuple[np.ndarray, np.ndarray], labels: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Sum-TVD of each grouping of a batch, bitwise equal to fitting and scoring it alone.
+
+    ``columns`` is :func:`_sorted_columns` of the truth's rows, ``labels``
+    (candidates, rows) each row's group, 0 .. n_groups - 1, and ``counts``
+    (candidates, n_groups) the groups' sizes, all positive. The groups'
+    median pairs become distributions by the two steps :func:`fit_grouping`
+    takes, and each score sums the (rows, states) differences in canonical
+    row order, as :func:`score_sum_tvd` does. ``labels`` is overwritten.
+    """
+    k = truth.rows.shape[1]
+    n_cand, n_groups = counts.shape
+    params = _median_pair_params(*_median_pairs(*columns, labels, counts))
+    labels += n_groups * np.arange(n_cand)[:, None]
+    diff = np.abs(truth.rows - np.take(params.reshape(-1, k), labels, axis=0))
+    return 0.5 * diff.reshape(n_cand, -1).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import csv
 import errno
 import json
+import math
 import os
 import stat
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,11 @@ from cpt_refine import (
     Cpt, GaConfig, Variable, load_cpt, optimize_sici, save_cpt, score_sum_tvd
 )
 from cpt_refine.cli import METHODS, build_parser, main
-from cpt_refine.cpt import config_table
+from cpt_refine.cpt import config_table, in_unit_interval
 from cpt_refine.errors import ValidationError
+from cpt_refine.io import (
+    LOAD_TOLERANCE, SCHEMA_FORMAT, WARN_TOLERANCE, _config_labels, _parse_variable, _row_fault
+)
 from cpt_refine.fixtures import FIXTURE_NAMES, fixture_path
 
 from conftest import random_cpt
@@ -56,8 +61,10 @@ class TestDocuments:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_writer_matches_json_dumps_indent_2(self, tmp_path, data):
-        # labels with quotes, backslashes, non-ASCII and control characters
-        label = st.text(st.sampled_from('a"\\é\x00\n\t\x7f€😀') | st.characters(), max_size=4)
+        # labels with quotes, backslashes, non-ASCII and control characters, and labels
+        # that read as %-format directives, since the writer fills a %-template
+        label = st.sampled_from(["%s", "%r", "%%", "%(x)s"]) | st.text(
+            st.sampled_from('a"\\%é\x00\n\t\x7f€😀') | st.characters(), max_size=4)
 
         def variable(name, n_states):
             return Variable(name, tuple(data.draw(
@@ -178,6 +185,32 @@ class TestDocuments:
         doc["rows"][4]["probs"] = [10**400, 0]
         self._expect_error(doc, tmp_path, r"row 5 \(.*Male.*\) probabilities: int too large")
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_loader_matches_row_loop(self, tmp_path, data):
+        doc = data.draw(st.just(None) | _valid_documents(), label="document")
+        if doc is None:
+            doc = json.loads(fixture_path("anxiety").read_text())
+        edit = data.draw(st.sampled_from(["none", "field", "repeat-row", "drop-probability"]),
+                         label="edit")
+        if edit == "field":  # as in test_malformed_documents_exit_0_or_2
+            *steps, key = data.draw(st.sampled_from(list(_field_paths(doc))), label="field")
+            target = doc
+            for step in steps:
+                target = target[step]
+            target[key] = data.draw(_JSON_VALUES, label="value")
+        elif edit == "repeat-row":
+            n = len(doc["rows"])
+            i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), label="rows")
+            doc["rows"][j] = doc["rows"][i]
+        elif edit == "drop-probability":
+            row = data.draw(st.sampled_from(doc["rows"]), label="row")
+            row["probs"] = row["probs"][:-1]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert _load_outcome(load_cpt, path) == _load_outcome(_reference_load_cpt, path)
+
     def test_small_deviations_warn_in_row_order(self, tmp_path):
         doc = self._doc()
         for k in (3, 1):
@@ -200,6 +233,111 @@ class TestDocuments:
         with pytest.warns(UserWarning, match="renormalising"):
             cpt = load_cpt(path)
         assert cpt.rows[0].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def _valid_documents(draw):
+    """Valid CPT documents of 0-3 parents, some rows off 1 by a little or by too much."""
+    cards = draw(st.lists(st.integers(2, 3), max_size=3), label="cards")
+    child_card = draw(st.integers(2, 3), label="child states")
+    cpt = random_cpt(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), cards, child_card)
+    rows = cpt.rows.tolist()
+    offsets = st.sampled_from([5e-8, -5e-8, 2e-10, 1e-3, -2.0])
+    for k, off in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), offsets), max_size=3)):
+        rows[k][0] += off
+    return {
+        "format": 1,
+        "child": {"name": cpt.child.name, "states": list(cpt.child.states)},
+        "parents": [{"name": v.name, "states": list(v.states)} for v in cpt.parents],
+        "rows": [
+            {"config": [v.states[s] for v, s in zip(cpt.parents, config)], "probs": probs}
+            for config, probs in zip(config_table(cards).tolist(), rows)
+        ],
+    }
+
+
+def _load_outcome(load, path):
+    """The CPT a loader gives, as row bytes, or its error message, with its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cpt = load(path)
+            result = ("loaded", cpt.child, cpt.parents, cpt.rows.tobytes())
+        except ValidationError as exc:
+            result = ("error", str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def _reference_load_cpt(path: str | Path) -> Cpt:
+    """The row-by-row loader that the bulk check in load_cpt replaces, kept as its oracle."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer literal too long to parse
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: the document must be a JSON object")
+    # JSON true loads as Python True, which equals 1 and is an int
+    if isinstance(doc.get("format"), bool) or doc.get("format") != SCHEMA_FORMAT:
+        raise ValidationError(f"{path}: unsupported format {doc.get('format')!r}")
+    child = _parse_variable(doc.get("child"), "child", path)
+    parents_doc = doc.get("parents", [])
+    rows_doc = doc.get("rows", [])
+    if not isinstance(parents_doc, list) or not isinstance(rows_doc, list):
+        raise ValidationError(f"{path}: 'parents' and 'rows' must be JSON lists")
+    parents = tuple(_parse_variable(p, f"parent {k + 1}", path) for k, p in enumerate(parents_doc))
+    names = [child.name, *(v.name for v in parents)]
+    if len(set(names)) != len(names):
+        raise ValidationError(f"{path}: child and parent names must be distinct, got {names}")
+    cards = tuple(v.cardinality for v in parents)
+    # counted before the configuration table is built, which may not fit in memory
+    if len(rows_doc) != math.prod(cards):
+        raise ValidationError(
+            f"{path}: {len(rows_doc)} rows, need {math.prod(cards)} (one per configuration)"
+        )
+    expected = config_table(cards).tolist()
+    labels = lambda k: _config_labels(parents, expected[k])
+    indices_of = [{label: i for i, label in enumerate(v.states)} for v in parents]
+    n_probs = child.cardinality
+
+    # one pass: rows are checked up to the first structurally faulty one, and the
+    # probabilities of the rows before it are checked together, in row order
+    table = []
+    fault = None  # (row index, message tail) of the first faulty row found
+    for k, entry in enumerate(rows_doc):
+        tail = _row_fault(parents, indices_of, expected[k], n_probs, entry)
+        if tail is not None:
+            fault = (k, tail)
+            break
+        table.append(entry["probs"])
+    try:
+        probs = np.array(table, dtype=np.float64).reshape(len(table), n_probs)
+    except OverflowError:  # an integer too large for a float: find its row
+        for k, row in enumerate(table):
+            try:
+                np.array(row, dtype=np.float64)
+            except OverflowError as exc:
+                fault = (k, f" ({labels(k)}) probabilities: {exc}")
+                break
+        probs = np.array(table[:k], dtype=np.float64).reshape(k, n_probs)
+    sums = probs.sum(axis=1)
+    dev = np.abs(sums - 1.0)
+    bad = (dev > LOAD_TOLERANCE) | ~in_unit_interval(probs).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if dev[k] > LOAD_TOLERANCE:
+            fault = (k, f" ({labels(k)}) sums to {sums[k]:.6g}, not 1")
+        else:  # out of range or NaN
+            fault = (k, f" ({labels(k)}) probabilities {table[k]} must lie in [0, 1]")
+    n_checked = len(probs) if fault is None else fault[0]
+    for k in np.flatnonzero(dev[:n_checked] > WARN_TOLERANCE):
+        warnings.warn(
+            f"{path}: row {k + 1} ({labels(k)}) off by {dev[k]:.2e}; renormalising",
+            stacklevel=2,
+        )
+    if fault is not None:
+        raise ValidationError(f"{path}: row {fault[0] + 1}{fault[1]}")
+    return Cpt(child, parents, probs, tolerance=LOAD_TOLERANCE)
 
 
 def _run(capsys, argv):
@@ -694,6 +832,22 @@ class TestMethodCommands:
         assert code == 2 and out == ""
         assert err == ("error: partition 'Depression' leaves out "
                        "Hypertension, Sex, SleepDuration\n")
+
+    @pytest.mark.parametrize(
+        "partition",
+        ["Depression | Depression,Hypertension,Sex,SleepDuration",
+         "Depression,Hypertension,Depression | Sex,SleepDuration"],
+        ids=["two-blocks", "one-block"],
+    )
+    def test_sici_partition_naming_a_parent_twice_exits_2(self, capsys, monkeypatch, partition):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran with a partition that names a parent twice")
+
+        monkeypatch.setattr("cpt_refine.optimizer._descend", no_search)
+        argv = ["sici", str(fixture_path("anxiety")), "--partition", partition]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: partition {partition!r} names Depression twice\n"
 
     def test_fixtures_command(self, capsys, tmp_path):
         dest = tmp_path / "data"

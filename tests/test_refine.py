@@ -149,6 +149,72 @@ class TestPruneBest:
         )
         assert result.score == pytest.approx(oracle, abs=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cards=st.lists(st.integers(min_value=2, max_value=4), min_size=2, max_size=5),
+        child_card=st.integers(min_value=2, max_value=4),
+        rows=st.sampled_from(["random", "tenths", "duplicated"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_batched_search_equals_per_candidate_loop(self, cards, child_card, rows, seed):
+        rng = np.random.default_rng(seed)
+        truth = (_tie_prone_cpt if rows == "tenths" else random_cpt)(rng, tuple(cards), child_card)
+        if rows == "duplicated":  # a few distinct rows, each repeated
+            copies = rng.integers(0, 3, size=truth.n_rows)
+            truth = Cpt(truth.child, truth.parents, truth.rows[copies])
+        _assert_prune_search_matches_loop(truth)
+
+    @pytest.mark.parametrize("case", ["3x2", "4x3"])
+    def test_all_zero_median_group_fails_as_the_loop_does(self, case):
+        if case == "3x2":
+            # a 3-state child over P (3 states) and Q (2 states), row (p, q) one-hot at
+            # state (p + q) mod 3: pruning P leaves group 0 with all-zero medians
+            cards, hot = (3, 2), [0, 1, 2, 1, 2, 0]
+        else:
+            # a 4-state child over P (4 states) and Q (3 states): pruning P leaves group 1
+            # (Q = 1) with all-zero medians, and pruning Q, scored first among the batches
+            # as the parent with fewer states, group 0 (P = 0)
+            cards, hot = (4, 3), [1, 0, 0, 0, 0, 1, 2, 3, 2, 0, 0, 0]
+        states = [tuple(f"s{j}" for j in range(c)) for c in (len(set(hot)), *cards)]
+        rows = np.eye(len(states[0]))[hot]
+        parents = (Variable("P", states[1]), Variable("Q", states[2]))
+        truth = Cpt(Variable("Y", states[0]), parents, rows)
+        with pytest.raises(ValidationError) as loop_error:
+            _loop_prune_best(truth)
+        expected = {"3x2": 0, "4x3": 1}[case]
+        assert str(loop_error.value) == f"group {expected} has all-zero medians"
+        if case == "3x2":
+            assert evaluate_spec(truth, PruneSpec(1)).score == 3.0
+        else:
+            with pytest.raises(ValidationError, match="group 0 has all-zero medians"):
+                evaluate_spec(truth, PruneSpec(1))
+        _assert_prune_search_matches_loop(truth)
+
+
+def _loop_prune_best(truth):
+    """The per-candidate prune search the batched one replaces: every prune fitted,
+    expanded and scored alone."""
+    if len(truth.parents) < 2:
+        raise ValidationError("pruning needs at least 2 parents")
+    specs = map(PruneSpec, range(len(truth.parents)))
+    # min keeps the first of equal scores
+    return min(((s, evaluate_spec(truth, s)) for s in specs), key=lambda fit: fit[1].score)
+
+
+def _assert_prune_search_matches_loop(truth):
+    """prune_best picks the loop's spec, with its score and CPT bit for bit, or fails
+    with the loop's message."""
+    expected = _message_or(lambda: _loop_prune_best(truth))
+    found = _message_or(lambda: prune_best(truth))
+    if isinstance(expected, str):
+        assert found == expected
+        return
+    (spec, result), (loop_spec, loop_result) = found, expected
+    assert spec == loop_spec
+    assert result.score.hex() == loop_result.score.hex()
+    assert result.cpt.rows.tobytes() == loop_result.cpt.rows.tobytes()
+    assert result.free_params == loop_result.free_params
+
 
 class TestDivorceGroups:
     def test_reference_divorce_grouping(self, anxiety):
