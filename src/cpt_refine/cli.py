@@ -293,6 +293,9 @@ def cmd_divorce(args) -> int:
         spec, result = divorce_best(truth)
     else:
         divorced = tuple(_parent_index(truth, n.strip()) for n in args.parents.split(","))
+        for j, i in enumerate(divorced):
+            if i in divorced[:j]:
+                raise ValidationError(f"--parents names {truth.parents[i].name} twice")
         overrides = _parse_state_map(truth, args.map)
         binarization = default_binarization(truth.parents, divorced, overrides)
         spec = DivorceSpec(divorced, args.gate or "AND", binarization)

@@ -244,7 +244,9 @@ def fit_grouping(truth: Cpt, labels: np.ndarray | Sequence[int]) -> Grouping:
         )
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     pairs = _median_pairs(*_sorted_columns(truth.rows), inverse, counts)
-    return Grouping(inverse, _median_pair_params(*pairs))
+    params, first_zero = _median_pair_params(*pairs)
+    _raise_first_all_zero(first_zero)
+    return Grouping(inverse, params)
 
 
 def _sorted_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +279,7 @@ def _median_pairs(
     return np.take(ranked, np.take(members, batch + column + central[..., None]) + column)
 
 
-def _median_pair_params(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _median_pair_params(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shared distributions from each group's median pair.
 
     ``lo`` and ``hi`` hold, per group and child state, the two central order
@@ -285,7 +287,7 @@ def _median_pair_params(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     shape (..., n_groups, child_card), where leading axes may hold a batch of
     candidate groupings. Their midpoint is the per-state median,
     renormalised where it does not sum to 1. A group whose medians are all
-    zero is an error, naming the first such group in C order.
+    zero keeps them; also returned is each grouping's first such group, or -1.
     """
     params = (lo + hi) / 2
     # numpy sums a few-state trailing axis one short row at a time; below 8 states
@@ -294,9 +296,17 @@ def _median_pair_params(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     for s in range(1, params.shape[-1]):
         sums = sums + params[..., s : s + 1]
     zero = sums[..., 0] <= 0
-    if np.any(zero):
-        raise ValidationError(f"group {int(np.argmax(zero)) % zero.shape[-1]} has all-zero medians")
-    return np.where(np.abs(sums - 1.0) > _RENORM_EPS, params / sums, params)
+    first_zero = np.where(zero.any(axis=-1), zero.argmax(axis=-1), -1)
+    # x / 1.0 is x bit for bit, so choosing the divisor saves a select over every element
+    renorm = (np.abs(sums - 1.0) > _RENORM_EPS) & ~zero[..., None]
+    return params / np.where(renorm, sums, 1.0), first_zero
+
+
+def _raise_first_all_zero(first_zero: np.ndarray) -> None:
+    """Fail for the first grouping, in C order, with a group of all-zero medians."""
+    failed = first_zero[first_zero >= 0]
+    if failed.size:
+        raise ValidationError(f"group {failed[0]} has all-zero medians")
 
 
 def expand_grouped(template: Cpt, grouping: Grouping) -> Cpt:

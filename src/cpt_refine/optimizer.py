@@ -445,7 +445,7 @@ class _Structure:
     """
 
     t_yes: np.ndarray  # (rows, 1) target P(Y = 1)
-    rows: list[np.ndarray]  # per block, each row's configuration index (``_block_rows``)
+    rows: np.ndarray  # per block, each row's configuration index (``_block_rows``)
     by_config: list[np.ndarray]  # per block, the rows in order of that index
     sizes: tuple[int, ...]  # per block, the number of configurations
     # per block b, each other block's configuration index (blocks in order) for each

@@ -13,11 +13,13 @@ Each grouping is an integer label per row (rows with equal labels share):
 ``prune_best`` and ``divorce_best`` search the first two exhaustively. Both
 score their candidates in batches through one scorer, which reads every
 group's median from one sort of the truth: the prunes of parents with the
-same state count together, and the (gate, binarization) candidates of one
-parent subset together, fitting each distinct grouping once. Only a
-search's winner is expanded into a CPT. ``evaluate_spec`` is the one path
-from any spec to a reported fit (a grouping spec's row labels are fitted,
-expanded and scored once), and every search reports it for its winner.
+same state count together, and the divorces of all parent subsets in one
+pass, fitting each distinct grouping of a subset once. Both follow search
+order: the winner is the first candidate of the lowest score, and a search
+fails with the error of the first candidate that cannot be fitted. Only the
+winner is expanded into a CPT. ``evaluate_spec`` is the one path from any
+spec to a reported fit (a grouping spec's row labels are fitted, expanded
+and scored once), and every search reports it for its winner.
 
 The remaining two are causal-interaction models evaluated forward from a
 small set of mechanism parameters; their rows are generally all distinct and
@@ -52,6 +54,7 @@ from .cpt import (
     Variable,
     _median_pair_params,
     _median_pairs,
+    _raise_first_all_zero,
     _sorted_columns,
     config_table,
     expand_grouped,
@@ -300,7 +303,7 @@ def divorce_groups(parent_cards: Sequence[int], spec: DivorceSpec) -> np.ndarray
     ones = sum(np.isin(states[:, i], b) for i, b in zip(spec.divorced, spec.binarization))
     gate = _gate_outputs(ones, len(spec.divorced))[GATES.index(spec.gate)]
     remaining = [i for i in range(len(cards)) if i not in spec.divorced]
-    return gate + 2 * _block_config_index(states, remaining, cards)
+    return gate + 2 * _block_rows(cards, [remaining])[0]
 
 
 def _gate_outputs(ones: np.ndarray, n_inputs: int) -> np.ndarray:
@@ -362,19 +365,15 @@ def prune_best(truth: Cpt) -> tuple[PruneSpec, ApproxResult]:
     n_rows, k = truth.rows.shape
     columns = _sorted_columns(truth.rows)
     step = max(1, _DIVORCE_CHUNK_ELEMENTS // (n_rows * k))
-    scores = np.empty(n)
+    scores, first_zero = np.empty(n), np.empty(n, dtype=np.int64)
     for card in sorted(set(cards)):
         pruned = [p for p in range(n) if cards[p] == card]
         for start in range(0, len(pruned), step):
             chunk = pruned[start:start + step]
             labels = np.stack([prune_groups(cards, PruneSpec(p)) for p in chunk])
             counts = np.full((len(chunk), n_rows // card), card)
-            try:
-                scores[chunk] = _grouping_scores(truth, columns, labels, counts)
-            except ValidationError:
-                for p in range(n):  # raises the error of the first prune, by index, that fails
-                    evaluate_spec(truth, PruneSpec(p))
-                raise
+            scores[chunk], first_zero[chunk] = _grouping_scores(truth, columns, labels, counts)
+    _raise_first_all_zero(first_zero)
     spec = PruneSpec(int(np.argmin(scores)))  # the first of equal scores
     return spec, evaluate_spec(truth, spec)
 
@@ -383,14 +382,13 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
     """Exhaustive search over divorces of ``block_size`` parents (2 up to all of them).
 
     Searches every parent subset of that size, every gate, and every proper
-    binarization of each divorced parent. The candidates of one subset are
-    scored at once by :func:`_divorce_subset_scores`, which reads every
-    group's median as :func:`fit_grouping` does and fits each distinct
-    grouping once (see :func:`_divorce_plan`). Ties break lexicographically
-    on (parent subset, gate, binarization): subsets, gates and subsets of
-    states are taken in sorted order and only strict improvements are kept,
-    so the winner is the first, fitted candidate of its grouping. Only the
-    winner is expanded into a CPT.
+    binarization of each divorced parent. Search order is lexicographic on
+    (parent subset, gate, binarization), with subsets, gates and subsets of
+    states each taken in sorted order. :func:`_divorce_scores` scores every
+    candidate in one batched pass, fitting each distinct grouping of a
+    subset once (see :func:`_divorce_plan`). The winner is the first
+    candidate of the lowest score in search order; if any candidate cannot
+    be fitted, the search fails with the error of the first such candidate.
     """
     n = len(truth.parents)
     if n < 2:
@@ -398,22 +396,12 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
     if not 2 <= block_size <= n:
         raise ValidationError(f"block size must be in [2, {n}], got {block_size}")
     cards = truth.parent_cards
-    states = config_table(cards)
-    columns = _sorted_columns(truth.rows)
-    plans: dict[tuple[int, ...], _DivorcePlan] = {}  # by the divorced parents' state counts
-    best: tuple[float, tuple[int, ...], int] | None = None
-    for subset in itertools.combinations(range(n), block_size):
-        sub_cards = tuple(cards[i] for i in subset)
-        plan = plans.get(sub_cards)
-        if plan is None:
-            plan = plans[sub_cards] = _divorce_plan(sub_cards)
-        scores = _divorce_subset_scores(truth, subset, states, columns, plan)
-        f = int(np.argmin(scores))
-        if best is None or scores[f] < best[0]:
-            best = (scores[f], subset, int(plan.fitted[f]))
-    _, subset, c = best
+    subsets = list(itertools.combinations(range(n), block_size))
+    subset_of, candidate, scores = _divorce_scores(truth, subsets)
+    best = int(np.argmin(scores))  # the first of equal scores
+    subset = subsets[subset_of[best]]
     choices = [_binarizations(cards[i]) for i in subset]
-    gate, *picks = np.unravel_index(c, (len(GATES), *map(len, choices)))
+    gate, *picks = np.unravel_index(candidate[best], (len(GATES), *map(len, choices)))
     spec = DivorceSpec(subset, GATES[gate], [ch[j] for ch, j in zip(choices, picks)])
     return spec, evaluate_spec(truth, spec)
 
@@ -456,58 +444,65 @@ def _divorce_plan(sub_cards: tuple[int, ...]) -> _DivorcePlan:
     return _DivorcePlan(fitted, outputs[fitted])
 
 
-# The divorces of one subset, and the prunes of parents with one state count,
-# are scored in chunks of at most this many (candidate, row, child state)
-# elements, which bounds each working array to 64 KiB whatever the candidate
-# count: the largest, the median read's int64 sort permutation and the float
-# differences, hold 2^13 x 8 B. That stays under the size at which glibc's
-# malloc maps fresh pages for a block (128 KiB by default), so every chunk
-# reuses heap memory. At 2^15 elements the divorce search of a 200-row table
-# with a 3-state child took about 2000 minor page faults per call, 10-15% of
-# its time spent in the kernel zeroing pages; at 2^13 it takes none, at about
-# the same speed.
+# The divorces of subsets with one configuration count, and the prunes of parents
+# with one state count, are scored in chunks of at most this many (candidate, row,
+# child state) elements, which bounds each working array to 64 KiB whatever the
+# candidate count: the largest, the median read's int64 sort permutation and the
+# float differences, hold 2^13 x 8 B. That stays under the size at which glibc's
+# malloc maps fresh pages for a block (128 KiB by default), so every chunk reuses
+# heap memory. At 2^15 elements the divorce search of a 200-row table with a
+# 3-state child took about 2000 minor page faults per call, 10-15% of its time
+# spent in the kernel zeroing pages; at 2^13 it takes none, at about the same speed.
 _DIVORCE_CHUNK_ELEMENTS = 1 << 13
 
 
-def _divorce_subset_scores(
-    truth: Cpt,
-    subset: tuple[int, ...],
-    states: np.ndarray,
-    columns: tuple[np.ndarray, np.ndarray],
-    plan: _DivorcePlan,
-) -> np.ndarray:
-    """Sum-TVD of each of the plan's fitted divorces of ``subset``, in ``plan.fitted``
-    order, bitwise equal to fitting each alone.
-
-    ``states`` is ``config_table`` of the truth's parents, ``columns``
-    :func:`_sorted_columns` of its rows and ``plan`` :func:`_divorce_plan` of
-    the subset's state counts. A candidate groups the rows by
-    remaining-parent configuration and gate value, label 2 * rem + gate.
-    Each chunk of candidates is scored by :func:`_grouping_scores`.
+def _divorce_scores(truth: Cpt, subsets: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+    """Every fitted divorce of the ascending parent ``subsets`` in search order: its
+    subset (a position in ``subsets``), its index among that subset's divorces and its
+    sum-TVD, bitwise as fitting it alone gives. Candidates of subsets with the same
+    configuration count have the same group count and share the chunks of
+    :func:`_grouping_scores`. Fails as :func:`divorce_best` does.
     """
-    cards = truth.parent_cards
     n_rows, k = truth.rows.shape
-    remaining = [i for i in range(len(cards)) if i not in subset]
-    rem = _block_config_index(states, remaining, cards)
-    sub = _block_config_index(states, subset, cards)
-    n_fitted, n_sub = plan.patterns.shape
-    n_rem = n_rows // n_sub
-
-    scores = np.empty(n_fitted)
+    cards = truth.parent_cards
+    member = np.zeros((len(subsets), len(cards)), dtype=bool)
+    member[np.arange(len(subsets))[:, None], subsets] = True
+    # per subset, the weights of its index rows and of twice its remaining parents' ones
+    weights = np.stack((_block_weights(cards, member), 2 * _block_weights(cards, ~member)))
+    digits = _config_digits(cards)
+    sub_cards = [tuple(cards[i] for i in s) for s in subsets]
+    by_cards = {c: _divorce_plan(c) for c in set(sub_cards)}
+    plans = [by_cards[c] for c in sub_cards]
+    subset_of = np.repeat(np.arange(len(subsets)), [len(p.fitted) for p in plans])
+    scores, first_zero = np.empty(len(subset_of)), np.empty(len(subset_of), dtype=np.int64)
+    columns = _sorted_columns(truth.rows)
     step = max(1, _DIVORCE_CHUNK_ELEMENTS // (n_rows * k))
-    for start in range(0, n_fitted, step):
-        gate_out = plan.patterns[start:start + step]  # (candidates, subset configurations)
-        labels = 2 * rem + gate_out[:, sub]
-        n1 = gate_out.sum(axis=1)
-        counts = np.tile(np.stack((n_sub - n1, n1), axis=1), n_rem)
-        scores[start:start + len(gate_out)] = _grouping_scores(truth, columns, labels, counts)
-    return scores
+    n_sub = [p.patterns.shape[1] for p in plans]  # configurations per subset
+    # a set, not np.unique: numpy 2.4's hash-based unique took page faults here
+    for m in sorted(set(n_sub)):
+        group = [j for j, c in enumerate(n_sub) if c == m]
+        members = np.flatnonzero(np.isin(subset_of, group))
+        patterns = np.concatenate([plans[j].patterns for j in group])
+        for start in range(0, len(members), step):
+            chunk = members[start:start + step]
+            gate_out = patterns[start:start + step]  # (candidates, subset configurations)
+            # (2, candidates, rows) index rows, built per chunk to keep within its bound
+            index = (weights[:, subset_of[chunk]] @ digits).astype(np.int64)
+            index[0] += m * np.arange(len(chunk))[:, None]  # flat in gate_out
+            # a row's label is twice its remaining-parents index plus its gate output
+            labels = index[1] + np.take(gate_out, index[0])
+            n1 = gate_out.sum(axis=1)
+            counts = np.tile(np.stack((m - n1, n1), axis=1), n_rows // m)
+            scores[chunk], first_zero[chunk] = _grouping_scores(truth, columns, labels, counts)
+    _raise_first_all_zero(first_zero)
+    return subset_of, np.concatenate([p.fitted for p in plans]), scores
 
 
 def _grouping_scores(
     truth: Cpt, columns: tuple[np.ndarray, np.ndarray], labels: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Sum-TVD of each grouping of a batch, bitwise equal to fitting and scoring it alone.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum-TVD of each grouping of a batch, bitwise equal to fitting and scoring it alone,
+    and its first all-zero group as :func:`_median_pair_params` reports it.
 
     ``columns`` is :func:`_sorted_columns` of the truth's rows, ``labels``
     (candidates, rows) each row's group, 0 .. n_groups - 1, and ``counts``
@@ -518,10 +513,10 @@ def _grouping_scores(
     """
     k = truth.rows.shape[1]
     n_cand, n_groups = counts.shape
-    params = _median_pair_params(*_median_pairs(*columns, labels, counts))
+    params, first_zero = _median_pair_params(*_median_pairs(*columns, labels, counts))
     labels += n_groups * np.arange(n_cand)[:, None]
     diff = np.abs(truth.rows - np.take(params.reshape(-1, k), labels, axis=0))
-    return 0.5 * diff.reshape(n_cand, -1).sum(axis=1)
+    return 0.5 * diff.reshape(n_cand, -1).sum(axis=1), first_zero
 
 
 # ---------------------------------------------------------------------------
@@ -595,22 +590,29 @@ def noisy_average_lower(n_mechs: int, card: int) -> np.ndarray:
     )
 
 
-def _block_config_index(
-    states: np.ndarray, block: Sequence[int], cards: Sequence[int]
-) -> np.ndarray:
-    """Mixed-radix index of each row's joint configuration over one parent block."""
-    idx = np.zeros(states.shape[0], dtype=np.int64)
-    stride = 1
-    for i in block:
-        idx += states[:, i] * stride
-        stride *= cards[i]
-    return idx
+def _block_weights(cards: Sequence[int], member: np.ndarray) -> np.ndarray:
+    """Per parent block, a row of the (blocks, parents) mask ``member``: each parent's
+    weight in the block's configuration index over its parents in ascending order, the
+    first fastest (0 off the block), with the parents last first as in
+    :func:`_config_digits`."""
+    radix = np.where(member, cards, 1)
+    return (np.cumprod(radix, axis=1) // radix * member)[:, ::-1].astype(np.float64)
 
 
-def _block_rows(cards: Sequence[int], partition: Sequence[Sequence[int]]) -> list[np.ndarray]:
-    """Per parent block, each CPT row's configuration index within the block."""
-    states = config_table(cards)
-    return [_block_config_index(states, block, cards) for block in partition]
+def _config_digits(cards: Sequence[int]) -> np.ndarray:
+    """Each parent's state in every CPT row, last parent first, shape (parents, rows). Its
+    product with block weights gives index rows: float64 holds them exactly, and its BLAS
+    product is several times faster than numpy's integer one."""
+    return np.indices(tuple(cards)[::-1], dtype=np.float64).reshape(len(cards), math.prod(cards))
+
+
+def _block_rows(cards: Sequence[int], blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """Per parent block, each CPT row's configuration index over the block's parents in
+    ascending order, the first fastest, shape (blocks, rows)."""
+    member = np.zeros((len(blocks), len(cards)), dtype=bool)
+    for b, block in enumerate(blocks):
+        member[b, list(block)] = True
+    return (_block_weights(cards, member) @ _config_digits(cards)).astype(np.int64)
 
 
 def _mech_joint(tables: Sequence[np.ndarray], rows: Sequence[np.ndarray]) -> np.ndarray:

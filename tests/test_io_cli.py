@@ -693,6 +693,13 @@ class TestMethodCommands:
         assert code == 2 and out == ""
         assert "--map gives parent SleepDuration twice" in err
 
+    def test_divorce_rejects_parent_named_twice(self, capsys):
+        code, out, err = _run(
+            capsys, ["divorce", str(fixture_path("anxiety")), "--parents", "Depression,Depression"]
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --parents names Depression twice\n"
+
     def test_divorce_of_one_parent_table_exits_2(self, capsys, tmp_path):
         truth_path = tmp_path / "one_parent.json"
         save_cpt(random_cpt(np.random.default_rng(43), (3,)), truth_path)

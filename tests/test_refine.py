@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from cpt_refine import (
     score_sum_tvd,
     sici_evaluate,
 )
-from cpt_refine.cpt import _sorted_columns, config_table
+from cpt_refine.cpt import config_table
 from cpt_refine import refine
 from cpt_refine.refine import _mech_joint, canonical_partition
 from cpt_refine.errors import ShapeMismatchError, ValidationError
@@ -300,13 +301,10 @@ def _loop_divorce_scores(truth, subset):
 
 
 def _divorce_subset_scores(truth, subset):
-    """The plan's fitted candidates of ``subset`` and their scores, with the configuration
-    table, sorted columns and plan a search builds."""
-    cards = truth.parent_cards
-    plan = refine._divorce_plan(tuple(cards[i] for i in subset))
-    columns = _sorted_columns(truth.rows)
-    scores = refine._divorce_subset_scores(truth, subset, config_table(cards), columns, plan)
-    return plan.fitted.tolist(), scores.tolist()
+    """The plan's fitted candidates of ``subset`` and their scores: the search's batched
+    scorer restricted to one subset."""
+    _, fitted, scores = refine._divorce_scores(truth, [subset])
+    return fitted.tolist(), scores.tolist()
 
 
 def _first_of_each_grouping(cards, specs):
@@ -456,6 +454,50 @@ class TestDivorceBest:
         spec, result = divorce_best(truth)
         assert spec == DivorceSpec((0, 1), "AND", ((0,), (0,)))
         assert result.score == 0.0
+
+    def test_ties_across_configuration_counts_go_to_the_first_candidate(self):
+        # parents of 3, 2, 2 and 4 states: the pairs have 4 to 12 configurations, so their
+        # candidates are scored in batches of different group counts, the pair (Q, R) first;
+        # every divorce fits the one repeated row exactly
+        states = ("s0", "s1", "s2", "s3")
+        parents = tuple(Variable(name, states[:c]) for name, c in zip("PQRS", (3, 2, 2, 4)))
+        truth = Cpt(BIN, parents, [[0.3, 0.7]] * 48)
+        spec, result = divorce_best(truth)
+        assert spec == DivorceSpec((0, 1), "AND", ((0,), (0,)))
+        assert result.score == 0.0
+
+    def test_first_failure_in_search_order_fails_the_search(self):
+        # P has 3 states and Q, R 2: (P, Q) fits; in (P, R), 6 configurations, AND over
+        # P = s0 and R = s1 leaves group 2 with all-zero medians; in (Q, R), 4
+        # configurations and so scored first, AND over Q = s0 and R = s1 leaves group 4
+        rows = [
+            [0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5],
+            [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0],
+            [0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+        ]
+        tri = ("s0", "s1", "s2")
+        parents = (Variable("P", tri), Variable("Q", tri[:2]), Variable("R", tri[:2]))
+        truth = Cpt(Variable("Y", tri), parents, rows)
+        subsets = ((0, 1), (0, 2), (1, 2))
+        loop = [_message_or(lambda: _loop_divorce_scores(truth, s)) for s in subsets]
+        assert not isinstance(loop[0], str)
+        assert loop[1:] == ["group 2 has all-zero medians", "group 4 has all-zero medians"]
+        assert _message_or(lambda: divorce_best(truth)) == loop[1]
+
+    def test_search_memory_stays_flat_in_the_subset_count(self):
+        # 10 binary parents, 1024 rows: the index rows of all 45 pairs built at once
+        # would take 45 x 2 x 1024 x 8 B = 720 KiB, in float64 and again in int64
+        truth = random_cpt(np.random.default_rng(29), (2,) * 10)
+        pairs = list(itertools.combinations(range(10), 2))
+        peaks = []
+        for subsets in (pairs[:1], pairs):
+            tracemalloc.start()
+            try:
+                refine._divorce_scores(truth, subsets)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 64 * 2**10
 
     @pytest.mark.parametrize(
         "sub_cards", [c for n in (2, 3) for c in itertools.product((2, 3, 4), repeat=n)],
@@ -621,6 +663,14 @@ class TestMechConfigProducts:
         for i in range(4):
             alone = _mech_joint([t[..., i] for t in tables], [np.arange(5)] * len(cards))
             assert np.array_equal(joint[..., i], alone)
+
+    def test_block_rows_index_each_block_over_its_ascending_parents(self):
+        # mixed radix over the block's parents in ascending order, the first fastest
+        cards = (3, 2, 4)
+        s = config_table(cards)
+        want = [s[:, 0] + 3 * s[:, 2], s[:, 0] + 3 * s[:, 2], s[:, 1], 0 * s[:, 0]]
+        got = refine._block_rows(cards, [(0, 2), (2, 0), (1,), ()])
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestPici:
