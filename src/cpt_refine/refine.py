@@ -10,11 +10,11 @@ Each grouping is an integer label per row (rows with equal labels share):
 * SCM          - a single deterministic intermediate node over all parents;
                  any bipartition of the rows is admissible.
 
-``prune_best`` and ``divorce_best`` search the first two exhaustively. Both
-score their candidates in batches through one scorer, which reads every
-group's median from one sort of the truth: the prunes of parents with the
-same state count together, and the divorces of all parent subsets in one
-pass, fitting each distinct grouping of a subset once. Both follow search
+``prune_best`` and ``divorce_best`` search the first two exhaustively
+through one batched scorer, which reads every group's median from one sort
+of the truth. Pruning a parent is divorcing it alone into a one-state node,
+so a prune search is the one-state divorce of each parent in turn; a divorce
+search fits each distinct grouping of a subset once. Both follow search
 order: the winner is the first candidate of the lowest score, and a search
 fails with the error of the first candidate that cannot be fitted. Only the
 winner is expanded into a CPT. ``evaluate_spec`` is the one path from any
@@ -62,7 +62,7 @@ from .cpt import (
     param_count,
     score_sum_tvd,
 )
-from .errors import ShapeMismatchError, ValidationError
+from .errors import SearchSpaceError, ShapeMismatchError, ValidationError
 
 GATES = ("AND", "OR", "XOR")
 
@@ -352,28 +352,19 @@ def _binarizations(card: int) -> list[tuple[int, ...]]:
 def prune_best(truth: Cpt) -> tuple[PruneSpec, ApproxResult]:
     """Best single-parent prune under sum-TVD; ties go to the lowest index.
 
-    Every prune is scored from one :func:`_sorted_columns` read by
-    :func:`_grouping_scores`, bitwise as :func:`evaluate_spec` scores it;
-    prunes of parents with the same state count are scored together. Only
-    the winner is expanded into a CPT. A prune that cannot be fitted fails
-    the search with the error the first such prune, by index, raises alone.
+    Pruning parent p is divorcing p alone into a node with one state, so
+    :func:`_divorce_scores` scores every prune in one batched pass, bitwise
+    as :func:`evaluate_spec` scores it, and fails as the first prune, by
+    index, that cannot be fitted fails alone. Only the winner is expanded
+    into a CPT.
     """
     n = len(truth.parents)
     if n < 2:
         raise ValidationError("pruning needs at least 2 parents")
-    cards = truth.parent_cards
-    n_rows, k = truth.rows.shape
-    columns = _sorted_columns(truth.rows)
-    step = max(1, _DIVORCE_CHUNK_ELEMENTS // (n_rows * k))
-    scores, first_zero = np.empty(n), np.empty(n, dtype=np.int64)
-    for card in sorted(set(cards)):
-        pruned = [p for p in range(n) if cards[p] == card]
-        for start in range(0, len(pruned), step):
-            chunk = pruned[start:start + step]
-            labels = np.stack([prune_groups(cards, PruneSpec(p)) for p in chunk])
-            counts = np.full((len(chunk), n_rows // card), card)
-            scores[chunk], first_zero[chunk] = _grouping_scores(truth, columns, labels, counts)
-    _raise_first_all_zero(first_zero)
+    # one candidate per parent: every state of the pruned parent maps to node state 0
+    plans = [_DivorcePlan(np.zeros(1, dtype=np.int64), np.zeros((1, c), dtype=np.int64))
+             for c in truth.parent_cards]
+    *_, scores = _divorce_scores(truth, [(p,) for p in range(n)], plans, 1)
     spec = PruneSpec(int(np.argmin(scores)))  # the first of equal scores
     return spec, evaluate_spec(truth, spec)
 
@@ -389,6 +380,8 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
     subset once (see :func:`_divorce_plan`). The winner is the first
     candidate of the lowest score in search order; if any candidate cannot
     be fitted, the search fails with the error of the first such candidate.
+    A subset whose plan would hold more than ``_MAX_PLAN_OUTPUTS`` gate
+    outputs fails the search first (SearchSpaceError), the first in order.
     """
     n = len(truth.parents)
     if n < 2:
@@ -397,7 +390,17 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
         raise ValidationError(f"block size must be in [2, {n}], got {block_size}")
     cards = truth.parent_cards
     subsets = list(itertools.combinations(range(n), block_size))
-    subset_of, candidate, scores = _divorce_scores(truth, subsets)
+    sub_cards = [tuple(cards[i] for i in s) for s in subsets]
+    for subset, c in zip(subsets, sub_cards):
+        outputs = len(GATES) * math.prod(2**x - 2 for x in c) * math.prod(c)
+        if outputs > _MAX_PLAN_OUTPUTS:
+            names = ", ".join(truth.parents[i].name for i in subset)
+            raise SearchSpaceError(f"divorcing {names} means {outputs} gate outputs, "
+                                   f"more than the {_MAX_PLAN_OUTPUTS} supported")
+    plans = {c: _divorce_plan(c) for c in set(sub_cards)}
+    subset_of, candidate, scores = _divorce_scores(
+        truth, subsets, [plans[c] for c in sub_cards], 2
+    )
     best = int(np.argmin(scores))  # the first of equal scores
     subset = subsets[subset_of[best]]
     choices = [_binarizations(cards[i]) for i in subset]
@@ -406,13 +409,21 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
     return spec, evaluate_spec(truth, spec)
 
 
+# A divorce plan holds one gate output per (candidate, subset configuration):
+# 3 * prod(2^c - 2) * prod(c) of them for parents of c states, as bytes several
+# times over while it is built. 2^29 lets a pair of 10-state parents through (3.1e8
+# outputs: 7-11 s and about 0.8 GB peak on a 2-vCPU machine) and refuses a pair of
+# 11-state ones (1.5e9).
+_MAX_PLAN_OUTPUTS = 1 << 29
+
+
 @dataclass(frozen=True)
 class _DivorcePlan:
     """Which divorces of a subset to fit, from its parents' state counts alone.
 
     ``fitted`` holds, ascending, the search-order index of the first
     candidate of each distinct grouping, and ``patterns[f]`` that
-    candidate's gate output per subset configuration.
+    candidate's node output per subset configuration.
     """
 
     fitted: np.ndarray
@@ -444,8 +455,8 @@ def _divorce_plan(sub_cards: tuple[int, ...]) -> _DivorcePlan:
     return _DivorcePlan(fitted, outputs[fitted])
 
 
-# The divorces of subsets with one configuration count, and the prunes of parents
-# with one state count, are scored in chunks of at most this many (candidate, row,
+# The candidates of a search whose subsets have one configuration count (a prune's
+# subset is its one parent) are scored in chunks of at most this many (candidate, row,
 # child state) elements, which bounds each working array to 64 KiB whatever the
 # candidate count: the largest, the median read's int64 sort permutation and the
 # float differences, hold 2^13 x 8 B. That stays under the size at which glibc's
@@ -456,67 +467,62 @@ def _divorce_plan(sub_cards: tuple[int, ...]) -> _DivorcePlan:
 _DIVORCE_CHUNK_ELEMENTS = 1 << 13
 
 
-def _divorce_scores(truth: Cpt, subsets: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-    """Every fitted divorce of the ascending parent ``subsets`` in search order: its
-    subset (a position in ``subsets``), its index among that subset's divorces and its
-    sum-TVD, bitwise as fitting it alone gives. Candidates of subsets with the same
-    configuration count have the same group count and share the chunks of
-    :func:`_grouping_scores`. Fails as :func:`divorce_best` does.
+def _divorce_scores(
+    truth: Cpt, subsets: Sequence[tuple[int, ...]], plans: Sequence[_DivorcePlan], states: int
+) -> tuple[np.ndarray, ...]:
+    """Every fitted divorce of the ascending parent ``subsets`` into a node of ``states``
+    states, in search order: its subset (a position in ``subsets``), its index among
+    that subset's divorces and its sum-TVD, bitwise as fitting it alone gives. Fails
+    with the error of the first candidate that fitting alone fails.
+
+    ``plans[j]`` holds subset j's fitted candidates and their node outputs per subset
+    configuration (a prune is the one-state divorce of one parent). A row's group is
+    ``states`` times its remaining-parents index plus its node output. Candidates of
+    subsets with the same configuration count have the same group count and share
+    chunks; each reads its groups' median pairs from one :func:`_sorted_columns` read,
+    makes them distributions by :func:`fit_grouping`'s two steps and sums each
+    candidate's (rows, states) differences in row order, as :func:`score_sum_tvd` does.
     """
     n_rows, k = truth.rows.shape
     cards = truth.parent_cards
     member = np.zeros((len(subsets), len(cards)), dtype=bool)
     member[np.arange(len(subsets))[:, None], subsets] = True
-    # per subset, the weights of its index rows and of twice its remaining parents' ones
-    weights = np.stack((_block_weights(cards, member), 2 * _block_weights(cards, ~member)))
+    # per subset, the weights of its index rows and of its remaining parents' ones, times states
+    weights = _block_weights(cards, np.concatenate((member, ~member))).reshape(2, *member.shape)
+    weights[1] *= states
     digits = _config_digits(cards)
-    sub_cards = [tuple(cards[i] for i in s) for s in subsets]
-    by_cards = {c: _divorce_plan(c) for c in set(sub_cards)}
-    plans = [by_cards[c] for c in sub_cards]
-    subset_of = np.repeat(np.arange(len(subsets)), [len(p.fitted) for p in plans])
+    n_fitted = [len(p.fitted) for p in plans]
+    subset_of = np.repeat(np.arange(len(subsets)), n_fitted)
+    n_sub = [p.patterns.shape[1] for p in plans]  # configurations per subset
+    m_of = np.repeat(n_sub, n_fitted)  # and per candidate
     scores, first_zero = np.empty(len(subset_of)), np.empty(len(subset_of), dtype=np.int64)
     columns = _sorted_columns(truth.rows)
     step = max(1, _DIVORCE_CHUNK_ELEMENTS // (n_rows * k))
-    n_sub = [p.patterns.shape[1] for p in plans]  # configurations per subset
     # a set, not np.unique: numpy 2.4's hash-based unique took page faults here
     for m in sorted(set(n_sub)):
-        group = [j for j, c in enumerate(n_sub) if c == m]
-        members = np.flatnonzero(np.isin(subset_of, group))
-        patterns = np.concatenate([plans[j].patterns for j in group])
+        members = np.flatnonzero(m_of == m)
+        n_groups = states * n_rows // m
+        patterns = np.concatenate([p.patterns for p in plans if p.patterns.shape[1] == m])
         for start in range(0, len(members), step):
             chunk = members[start:start + step]
-            gate_out = patterns[start:start + step]  # (candidates, subset configurations)
+            out = patterns[start:start + step]  # (candidates, subset configurations)
+            n_cand = len(chunk)
             # (2, candidates, rows) index rows, built per chunk to keep within its bound
             index = (weights[:, subset_of[chunk]] @ digits).astype(np.int64)
-            index[0] += m * np.arange(len(chunk))[:, None]  # flat in gate_out
-            # a row's label is twice its remaining-parents index plus its gate output
-            labels = index[1] + np.take(gate_out, index[0])
-            n1 = gate_out.sum(axis=1)
-            counts = np.tile(np.stack((m - n1, n1), axis=1), n_rows // m)
-            scores[chunk], first_zero[chunk] = _grouping_scores(truth, columns, labels, counts)
+            index[0] += m * np.arange(n_cand)[:, None]  # flat in out
+            labels = index[1] + np.take(out, index[0])
+            flat = labels + n_groups * np.arange(n_cand)[:, None]  # flat in params
+            # every count is positive: each node state is some subset configuration's output
+            counts = np.bincount(flat.ravel(), minlength=n_cand * n_groups).reshape(n_cand, -1)
+            params, first_zero[chunk] = _median_pair_params(
+                *_median_pairs(*columns, labels, counts)
+            )
+            scores[chunk] = 0.5 * np.abs(
+                truth.rows - np.take(params.reshape(-1, k), flat, axis=0)
+            ).reshape(n_cand, -1).sum(axis=1)
+            del params  # freed before the next chunk: a search's memory stays flat
     _raise_first_all_zero(first_zero)
     return subset_of, np.concatenate([p.fitted for p in plans]), scores
-
-
-def _grouping_scores(
-    truth: Cpt, columns: tuple[np.ndarray, np.ndarray], labels: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum-TVD of each grouping of a batch, bitwise equal to fitting and scoring it alone,
-    and its first all-zero group as :func:`_median_pair_params` reports it.
-
-    ``columns`` is :func:`_sorted_columns` of the truth's rows, ``labels``
-    (candidates, rows) each row's group, 0 .. n_groups - 1, and ``counts``
-    (candidates, n_groups) the groups' sizes, all positive. The groups'
-    median pairs become distributions by the two steps :func:`fit_grouping`
-    takes, and each score sums the (rows, states) differences in canonical
-    row order, as :func:`score_sum_tvd` does. ``labels`` is overwritten.
-    """
-    k = truth.rows.shape[1]
-    n_cand, n_groups = counts.shape
-    params, first_zero = _median_pair_params(*_median_pairs(*columns, labels, counts))
-    labels += n_groups * np.arange(n_cand)[:, None]
-    diff = np.abs(truth.rows - np.take(params.reshape(-1, k), labels, axis=0))
-    return 0.5 * diff.reshape(n_cand, -1).sum(axis=1), first_zero
 
 
 # ---------------------------------------------------------------------------

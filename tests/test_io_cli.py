@@ -707,6 +707,15 @@ class TestMethodCommands:
         assert code == 2 and out == ""
         assert err == "error: divorcing needs at least 2 parents, got 1\n"
 
+    def test_divorce_past_the_plan_bound_exits_4(self, capsys, tmp_path):
+        # two 12-state parents: 3 * 4094^2 * 144 gate outputs, refused before any plan
+        truth_path = tmp_path / "twelve.json"
+        save_cpt(random_cpt(np.random.default_rng(44), (12, 12)), truth_path)
+        code, out, err = _run(capsys, ["divorce", str(truth_path)])
+        assert code == 4 and out == ""
+        assert err == ("error: divorcing X0, X1 means 7240681152 gate outputs, "
+                       "more than the 536870912 supported\n")
+
     @pytest.mark.parametrize(
         "argv",
         [["scm"], ["ici", "--restarts", "1"], ["sici", "--restarts", "1"],

@@ -38,7 +38,7 @@ from cpt_refine import (
 from cpt_refine.cpt import config_table
 from cpt_refine import refine
 from cpt_refine.refine import _mech_joint, canonical_partition
-from cpt_refine.errors import ShapeMismatchError, ValidationError
+from cpt_refine.errors import SearchSpaceError, ShapeMismatchError, ValidationError
 
 from conftest import random_cpt
 
@@ -191,6 +191,16 @@ class TestPruneBest:
                 evaluate_spec(truth, PruneSpec(1))
         _assert_prune_search_matches_loop(truth)
 
+    def test_ties_across_state_counts_go_to_the_first_parent(self):
+        # parents of 3, 2 and 4 states: their prunes are scored in batches of different
+        # group counts, Q's first; every prune fits the one repeated row exactly
+        states = ("s0", "s1", "s2", "s3")
+        parents = tuple(Variable(name, states[:c]) for name, c in zip("PQR", (3, 2, 4)))
+        truth = Cpt(BIN, parents, [[0.3, 0.7]] * 24)
+        spec, result = prune_best(truth)
+        assert spec == PruneSpec(0)
+        assert result.score == 0.0
+
 
 def _loop_prune_best(truth):
     """The per-candidate prune search the batched one replaces: every prune fitted,
@@ -303,7 +313,8 @@ def _loop_divorce_scores(truth, subset):
 def _divorce_subset_scores(truth, subset):
     """The plan's fitted candidates of ``subset`` and their scores: the search's batched
     scorer restricted to one subset."""
-    _, fitted, scores = refine._divorce_scores(truth, [subset])
+    plan = refine._divorce_plan(tuple(truth.parent_cards[i] for i in subset))
+    _, fitted, scores = refine._divorce_scores(truth, [subset], [plan], states=2)
     return fitted.tolist(), scores.tolist()
 
 
@@ -484,16 +495,32 @@ class TestDivorceBest:
         assert loop[1:] == ["group 2 has all-zero medians", "group 4 has all-zero medians"]
         assert _message_or(lambda: divorce_best(truth)) == loop[1]
 
+    def test_search_refuses_the_first_subset_past_the_plan_bound(self):
+        # parents of 11, 2, 11 and 11 states: (P, R) is the first of three pairs whose plan
+        # would hold more than 2^29 gate outputs, so the search fails for it before
+        # building any plan
+        eleven = tuple(f"s{j}" for j in range(11))
+        parents = tuple(Variable(name, eleven[:c]) for name, c in zip("PQRS", (11, 2, 11, 11)))
+        truth = Cpt(BIN, parents, [[0.3, 0.7]] * 2662)
+        outputs = 3 * (2**11 - 2) ** 2 * 11**2
+        assert 3 * (2**10 - 2) ** 2 * 10**2 <= refine._MAX_PLAN_OUTPUTS < outputs
+        with pytest.raises(SearchSpaceError) as error:
+            divorce_best(truth)
+        assert str(error.value) == (
+            f"divorcing P, R means {outputs} gate outputs, more than the 536870912 supported"
+        )
+
     def test_search_memory_stays_flat_in_the_subset_count(self):
         # 10 binary parents, 1024 rows: the index rows of all 45 pairs built at once
         # would take 45 x 2 x 1024 x 8 B = 720 KiB, in float64 and again in int64
         truth = random_cpt(np.random.default_rng(29), (2,) * 10)
         pairs = list(itertools.combinations(range(10), 2))
+        plan = refine._divorce_plan((2, 2))
         peaks = []
         for subsets in (pairs[:1], pairs):
             tracemalloc.start()
             try:
-                refine._divorce_scores(truth, subsets)
+                refine._divorce_scores(truth, subsets, [plan] * len(subsets), states=2)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
