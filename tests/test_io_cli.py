@@ -639,6 +639,22 @@ class TestMethodCommands:
         emitted = load_cpt(out_path)
         assert np.abs(emitted.rows - method_columns["divorcing"].rows).max() <= 5e-5 + 1e-12
 
+    def test_divorce_flags_in_given_parent_order(self, capsys):
+        # the parents named out of document order: the same divorce as the reference, its
+        # summary in the order given
+        code, out, _ = _run(
+            capsys,
+            ["divorce", str(fixture_path("anxiety")),
+             "--parents", "SleepDuration,Hypertension",
+             "--map", "SleepDuration=>9hours"],
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "spec: AND gate over SleepDuration={>9hours}, Hypertension={Yes}",
+            "score: 0.5072",
+            "free parameters: 8",
+        ]
+
     def test_divorce_search_finds_reference_spec(self, capsys):
         code, out, _ = _run(capsys, ["divorce", str(fixture_path("anxiety"))])
         assert code == 0

@@ -269,6 +269,15 @@ class TestDivorceGroups:
         labels = divorce_groups(cards, DivorceSpec(subset, gate, ones))
         assert _partition(labels) == _loop_groups(cards, _divorce_key(subset, gate, ones))
 
+    @pytest.mark.parametrize("gate", ["AND", "OR", "XOR"])
+    def test_divorced_parents_in_any_order_label_alike(self, gate):
+        # each binarization travels with its parent: listing (2, 0) or (0, 2) is one divorce
+        cards, ones = (2, 3, 4), ((1, 3), (1,))
+        labels = divorce_groups(cards, DivorceSpec((2, 0), gate, ones))
+        ascending = DivorceSpec((0, 2), gate, ones[::-1])
+        assert labels.tolist() == divorce_groups(cards, ascending).tolist()
+        assert _partition(labels) == _loop_groups(cards, _divorce_key((2, 0), gate, ones))
+
 
 def _divorce_oracle(truth):
     """Independent exhaustive search: plain loops and statistics.median."""
@@ -313,8 +322,8 @@ def _loop_divorce_scores(truth, subset):
 def _divorce_subset_scores(truth, subset):
     """The plan's fitted candidates of ``subset`` and their scores: the search's batched
     scorer restricted to one subset."""
-    plan = refine._divorce_plan(tuple(truth.parent_cards[i] for i in subset))
-    _, fitted, scores = refine._divorce_scores(truth, [subset], [plan], states=2)
+    fitted, patterns = refine._divorce_plan(tuple(truth.parent_cards[i] for i in subset))
+    _, scores = refine._divorce_scores(truth, [subset], [patterns], states=2)
     return fitted.tolist(), scores.tolist()
 
 
@@ -515,16 +524,33 @@ class TestDivorceBest:
         # would take 45 x 2 x 1024 x 8 B = 720 KiB, in float64 and again in int64
         truth = random_cpt(np.random.default_rng(29), (2,) * 10)
         pairs = list(itertools.combinations(range(10), 2))
-        plan = refine._divorce_plan((2, 2))
+        _, patterns = refine._divorce_plan((2, 2))
         peaks = []
         for subsets in (pairs[:1], pairs):
             tracemalloc.start()
             try:
-                refine._divorce_scores(truth, subsets, [plan] * len(subsets), states=2)
+                refine._divorce_scores(truth, subsets, [patterns] * len(subsets), states=2)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 64 * 2**10
+
+    @pytest.mark.parametrize("size", [10, 9])
+    def test_scoring_reads_the_patterns_in_place(self, size):
+        # 10 binary parents and 256 candidate nodes over each of the first (up to three)
+        # subsets of this size, one int64 pattern array shared as a search shares a plan:
+        # 1-2 MiB of patterns against chunks bounded to 64 KiB each, so a copy would show
+        truth = random_cpt(np.random.default_rng(31), (2,) * 10)
+        subsets = list(itertools.combinations(range(10), size))[:3]
+        patterns = np.random.default_rng(32).integers(0, 2, size=(256, 2**size))
+        patterns[:, :2] = (0, 1)  # both node states at every remaining configuration
+        tracemalloc.start()
+        try:
+            refine._divorce_scores(truth, subsets, [patterns] * len(subsets), states=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < patterns.nbytes / 2
 
     @pytest.mark.parametrize(
         "sub_cards", [c for n in (2, 3) for c in itertools.product((2, 3, 4), repeat=n)],
@@ -540,16 +566,16 @@ class TestDivorceBest:
             for ones in itertools.product(*choices)
         ]
         source = _first_of_each_grouping(sub_cards, specs)
-        plan = refine._divorce_plan(sub_cards)
-        assert plan.fitted.tolist() == sorted(set(source))
-        outputs = [divorce_groups(sub_cards, specs[c]).tolist() for c in plan.fitted]
-        assert plan.patterns.astype(int).tolist() == outputs
+        fitted, patterns = refine._divorce_plan(sub_cards)
+        assert fitted.tolist() == sorted(set(source))
+        outputs = [divorce_groups(sub_cards, specs[c]).tolist() for c in fitted]
+        assert patterns.astype(int).tolist() == outputs
         n = len(sub_cards)
         n_and = math.prod(2**c - 2 for c in sub_cards)
-        assert len(plan.fitted) * 2**n == n_and * (2**n + 1)
+        assert len(fitted) * 2**n == n_and * (2**n + 1)
         counts = {(2, 2): 5, (4, 4): 245, (2, 2, 2): 9}
         if sub_cards in counts:
-            assert len(plan.fitted) == counts[sub_cards]
+            assert len(fitted) == counts[sub_cards]
 
     @pytest.mark.parametrize("rounded", [False, True])
     def test_divorce_of_all_six_parents(self, rounded):
@@ -998,6 +1024,21 @@ class TestParamSavings:
         spec = DivorceSpec(tuple(range(i)), "AND", ((1,),) * i)
         free, _ = param_savings(spec, (2,) * n, 2)
         assert free == 2 ** (n - i + 1)
+
+    @pytest.mark.parametrize("spec, cards, error", [
+        (PruneSpec(5), (2, 2), ValidationError),
+        (PruneSpec(-1), (2, 3), ValidationError),
+        (DivorceSpec((0, 5), "AND", ((1,), (1,))), (2, 2), ValidationError),
+        (ScmSpec((0, 1, 1)), (2, 2), ShapeMismatchError),
+    ], ids=["prune-past-last", "prune-negative", "divorce-past-last", "scm-short"])
+    def test_spec_that_does_not_fit_the_shape_is_refused(self, spec, cards, error):
+        # counted as evaluate_spec labels it: the same error for the same spec
+        truth = random_cpt(np.random.default_rng(5), cards)
+        with pytest.raises(error) as counted:
+            param_savings(spec, cards, 2)
+        with pytest.raises(error) as fitted:
+            evaluate_spec(truth, spec)
+        assert str(counted.value) == str(fitted.value)
 
 
 class TestEvaluateSpec:
