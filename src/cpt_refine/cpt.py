@@ -141,15 +141,13 @@ def param_count(parent_cards: Sequence[int], child_card: int) -> int:
 
 
 def config_table(parent_cards: Sequence[int]) -> np.ndarray:
-    """All parent configurations as an (n_rows, n_parents) int array, canonical order."""
+    """All parent configurations as a C-contiguous (n_rows, n_parents) int64 array, in
+    canonical order: row k holds the mixed-radix digits of k, the first parent fastest.
+    This is the one encoder of that order; a root node has the one empty row, (1, 0)."""
     cards = tuple(int(c) for c in parent_cards)
-    n_rows = math.prod(cards)
-    out = np.zeros((n_rows, len(cards)), dtype=np.int64)
-    stride = 1
-    for i, c in enumerate(cards):
-        out[:, i] = (np.arange(n_rows) // stride) % c
-        stride *= c
-    return out
+    # C order varies the last axis fastest, so the parents index the axes last first
+    digits = np.indices(cards[::-1], dtype=np.int64).reshape(len(cards), math.prod(cards))
+    return np.ascontiguousarray(digits[::-1].T)
 
 
 # ---------------------------------------------------------------------------

@@ -152,10 +152,11 @@ def load_cpt(path: str | Path) -> Cpt:
         raise ValidationError(
             f"{path}: {len(rows_doc)} rows, need {math.prod(cards)} (one per configuration)"
         )
-    # each configuration's state labels, in canonical order (first parent fastest)
-    canonical = [
-        list(reversed(c)) for c in itertools.product(*(v.states for v in reversed(parents)))
-    ]
+    # each configuration's state labels, in canonical order (first parent fastest), read
+    # from every parent's labels in one array, each parent's from its offset there
+    states = config_table(cards)
+    every_label = np.array([s for v in parents for s in v.states], dtype=object)
+    canonical = every_label[states + np.cumsum((0, *cards[:-1]))].tolist()
     labels = lambda k: ", ".join(f"{v.name}={s}" for v, s in zip(parents, canonical[k]))
     n_probs = child.cardinality
 
@@ -164,7 +165,7 @@ def load_cpt(path: str | Path) -> Cpt:
     if table is None:
         # rows are checked up to the first structurally faulty one, and the
         # probabilities of the rows before it are checked together, in row order
-        expected = config_table(cards).tolist()
+        expected = states.tolist()
         indices_of = [{label: i for i, label in enumerate(v.states)} for v in parents]
         table = []
         for k, entry in enumerate(rows_doc):

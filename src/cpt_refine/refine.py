@@ -337,7 +337,7 @@ def _gate_outputs(sub_cards: Sequence[int], choices: Sequence[Sequence[tuple]]) 
     way of taking one binarization per parent from ``choices``: shape (gates, in
     ``GATES`` order, len(choices[0]), ..., len(choices[-1]), configurations, the first
     parent fastest)."""
-    digits = np.indices(tuple(sub_cards)[::-1]).reshape(len(sub_cards), -1)[::-1]
+    digits = config_table(sub_cards).T  # (parents, configurations)
     ones = np.zeros(digits.shape[1], dtype=np.uint8)  # how many gate inputs read 1
     for c, bs, d in zip(sub_cards, choices, digits):
         member = np.array([[s in b for s in range(c)] for b in bs], dtype=np.uint8)
@@ -396,9 +396,9 @@ def prune_best(truth: Cpt) -> tuple[PruneSpec, ApproxResult]:
     if n < 2:
         raise ValidationError("pruning needs at least 2 parents")
     cards = truth.parent_cards
-    # each parent's prune node, scored as one candidate over that parent alone
-    subsets, states, (k, *_) = zip(*(_node(cards, PruneSpec(p)) for p in range(n)))
-    _, scores = _divorce_scores(truth, subsets, [s[None] for s in states], k)
+    # each parent's prune node, scored as the one candidate over that parent alone
+    plans = {(c,): _node(cards, PruneSpec(p))[1][None] for p, c in enumerate(cards)}
+    scores = _divorce_scores(truth, [(p,) for p in range(n)], plans, 1)
     spec = PruneSpec(int(np.argmin(scores)))  # the first of equal scores
     return spec, evaluate_spec(truth, spec)
 
@@ -432,12 +432,15 @@ def divorce_best(truth: Cpt, block_size: int = 2) -> tuple[DivorceSpec, ApproxRe
             raise SearchSpaceError(f"divorcing {names} means {outputs} gate outputs, "
                                    f"more than the {_MAX_PLAN_OUTPUTS} supported")
     plans = {c: _divorce_plan(c) for c in set(sub_cards)}
-    subset_of, scores = _divorce_scores(truth, subsets, [plans[c][1] for c in sub_cards], 2)
+    scores = _divorce_scores(truth, subsets, {c: p[1] for c, p in plans.items()}, 2)
     best = int(np.argmin(scores))  # the first of equal scores
-    subset = subsets[subset_of[best]]
-    candidate = np.concatenate([plans[c][0] for c in sub_cards])[best]
+    for subset, c in zip(subsets, sub_cards):  # the winner's subset and its fitted candidate
+        fitted = plans[c][0]
+        if best < len(fitted):
+            break
+        best -= len(fitted)
     choices = [_binarizations(cards[i]) for i in subset]
-    gate, *picks = np.unravel_index(candidate, (len(GATES), *map(len, choices)))
+    gate, *picks = np.unravel_index(fitted[best], (len(GATES), *map(len, choices)))
     spec = DivorceSpec(subset, GATES[gate], [ch[j] for ch, j in zip(choices, picks)])
     return spec, evaluate_spec(truth, spec)
 
@@ -473,76 +476,74 @@ def _divorce_plan(sub_cards: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return fitted, outputs[fitted]
 
 
-# The candidates of a search whose subsets have one configuration count (a prune's
-# subset is its one parent) are scored in chunks of at most this many (candidate, row,
-# child state) elements, which bounds each working array to 64 KiB whatever the
-# candidate count: the largest, the median read's int64 sort permutation and the
-# float differences, hold 2^13 x 8 B. That stays under the size at which glibc's
-# malloc maps fresh pages for a block (128 KiB by default), so every chunk reuses
-# heap memory. At 2^15 elements the divorce search of a 200-row table with a
-# 3-state child took about 2000 minor page faults per call, 10-15% of its time
-# spent in the kernel zeroing pages; at 2^13 it takes none, at about the same speed.
+# The candidates of a search over subsets of one shape are scored in chunks of at most
+# this many (candidate, row, child state) elements, which bounds each working array to
+# 64 KiB whatever the candidate count: the largest, the median read's int64 sort
+# permutation and the float differences, hold 2^13 x 8 B. That stays under the size at
+# which glibc's malloc maps fresh pages for a block (128 KiB by default), so every chunk
+# reuses heap memory. At 2^15 elements the divorce search of a 200-row table with a
+# 3-state child took about 2000 minor page faults per call, 10-15% of its time spent in
+# the kernel zeroing pages; at 2^13 it takes none, at about the same speed.
 _DIVORCE_CHUNK_ELEMENTS = 1 << 13
 
 
 def _divorce_scores(
-    truth: Cpt, subsets: Sequence[Sequence[int]], patterns: Sequence[np.ndarray], states: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every candidate node over the ascending parent ``subsets`` with ``states`` states,
-    in search order: its subset (a position in ``subsets``) and its sum-TVD, bitwise as
-    fitting its :func:`_node_labels` alone gives. Fails with the error of the first
-    candidate that fitting alone fails.
+    truth: Cpt, subsets: Sequence[Sequence[int]], plans: dict[tuple, np.ndarray], states: int
+) -> np.ndarray:
+    """The sum-TVD of every candidate node over the ascending parent ``subsets`` with
+    ``states`` states, in search order, bitwise as fitting its :func:`_node_labels` alone
+    gives. Fails with the error of the first candidate that fitting alone fails.
 
-    ``patterns[j]`` holds, per candidate over subset j, the node's state at each subset
-    configuration (a prune is the one-state node of one parent). A row's group is
-    ``states`` times its remaining-parents index plus its node state. Candidates of
-    subsets with the same configuration count have the same group count and share
-    chunks, reading their patterns in place; each reads its groups' median pairs from
-    one :func:`_sorted_columns` read, makes them distributions by :func:`fit_grouping`'s
-    two steps and sums each candidate's (rows, states) differences in row order, as
-    :func:`score_sum_tvd` does.
+    A subset's shape is its parents' state counts, and ``plans[shape]`` holds, per
+    candidate over a subset of that shape, the node's state at each subset configuration
+    (a prune is the one-state node of one parent). Search order takes the subsets in
+    turn, each with every candidate of its shape's plan. A row's group is ``states``
+    times its remaining-parents index plus its node state. The candidates of one shape
+    share chunks, reading the plan in place: with ``own`` the shape's subsets in order,
+    candidate i is subset ``own[i // len(plan)]`` at plan row ``i % len(plan)``. Each
+    reads its groups' median pairs from one :func:`_sorted_columns` read, makes them
+    distributions by :func:`fit_grouping`'s two steps and sums its (rows, states)
+    differences in row order, as :func:`score_sum_tvd` does.
     """
     n_rows, k = truth.rows.shape
     cards = truth.parent_cards
+    shapes = [tuple(cards[i] for i in s) for s in subsets]
+    # each subset's first candidate in search order
+    offsets = np.cumsum([0] + [len(plans[shape]) for shape in shapes])
     member = np.zeros((len(subsets), len(cards)), dtype=bool)
     member[np.arange(len(subsets))[:, None], subsets] = True
     # per subset, the weights of its index rows and of its remaining parents' ones, times states
     weights = _block_weights(cards, np.concatenate((member, ~member))).reshape(2, *member.shape)
     weights[1] *= states
-    digits = _config_digits(cards)
-    n_fitted = [len(p) for p in patterns]
-    subset_of = np.repeat(np.arange(len(subsets)), n_fitted)
-    n_sub = [p.shape[1] for p in patterns]  # configurations per subset
-    m_of = np.repeat(n_sub, n_fitted)  # and per candidate
-    scores, first_zero = np.empty(len(subset_of)), np.empty(len(subset_of), dtype=np.int64)
+    digits = config_table(cards).T.astype(np.float64)  # cast once, not in every product
+    scores, first_zero = np.empty(offsets[-1]), np.empty(offsets[-1], dtype=np.int64)
     columns = _sorted_columns(truth.rows)
     step = max(1, _DIVORCE_CHUNK_ELEMENTS // (n_rows * k))
-    # a set, not np.unique: numpy 2.4's hash-based unique took page faults here
-    for m in sorted(set(n_sub)):
-        members = np.flatnonzero(m_of == m)
+    for shape, plan in plans.items():
+        own = np.array([j for j, s in enumerate(shapes) if s == shape], dtype=np.int64)
+        m = plan.shape[1]
         n_groups = states * n_rows // m
-        group = [p for p in patterns if p.shape[1] == m]
-        # one array shared by every subset of this count (a search's plan) is read in place
-        table = group[0] if all(p is group[0] for p in group) else np.concatenate(group)
-        for start in range(0, len(members), step):
-            chunk = members[start:start + step]
-            n_cand = len(chunk)
+        n_shape = len(own) * len(plan)
+        for start in range(0, n_shape, step):
+            # each candidate's subset (a position in subsets) and row in the plan
+            subset, row = np.divmod(np.arange(start, min(start + step, n_shape)), len(plan))
+            subset = own[subset]
+            n_cand = len(row)
             # (2, candidates, rows) index rows, built per chunk to keep within its bound
-            index = (weights[:, subset_of[chunk]] @ digits).astype(np.int64)
-            index[0] += m * (np.arange(start, start + n_cand) % len(table))[:, None]  # in table
-            labels = index[1] + np.take(table, index[0])
+            index = (weights[:, subset] @ digits).astype(np.int64)
+            index[0] += m * row[:, None]  # in the plan
+            labels = index[1] + np.take(plan, index[0])
             flat = labels + n_groups * np.arange(n_cand)[:, None]  # flat in params
             # every count is positive: each node state is some subset configuration's output
             counts = np.bincount(flat.ravel(), minlength=n_cand * n_groups).reshape(n_cand, -1)
-            params, first_zero[chunk] = _median_pair_params(
-                *_median_pairs(*columns, labels, counts)
-            )
-            scores[chunk] = 0.5 * np.abs(
+            at = offsets[subset] + row  # in search order
+            params, first_zero[at] = _median_pair_params(*_median_pairs(*columns, labels, counts))
+            scores[at] = 0.5 * np.abs(
                 truth.rows - np.take(params.reshape(-1, k), flat, axis=0)
             ).reshape(n_cand, -1).sum(axis=1)
             del params  # freed before the next chunk: a search's memory stays flat
     _raise_first_all_zero(first_zero)
-    return subset_of, scores
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -619,17 +620,11 @@ def noisy_average_lower(n_mechs: int, card: int) -> np.ndarray:
 def _block_weights(cards: Sequence[int], member: np.ndarray) -> np.ndarray:
     """Per parent block, a row of the (blocks, parents) mask ``member``: each parent's
     weight in the block's configuration index over its parents in ascending order, the
-    first fastest (0 off the block), with the parents last first as in
-    :func:`_config_digits`."""
+    first fastest (0 off the block). Their product with ``config_table(cards).T`` gives
+    index rows. They are float64, which holds those indices exactly, so that product
+    runs through BLAS, several times faster than numpy's integer one."""
     radix = np.where(member, cards, 1)
-    return (np.cumprod(radix, axis=1) // radix * member)[:, ::-1].astype(np.float64)
-
-
-def _config_digits(cards: Sequence[int]) -> np.ndarray:
-    """Each parent's state in every CPT row, last parent first, shape (parents, rows). Its
-    product with block weights gives index rows: float64 holds them exactly, and its BLAS
-    product is several times faster than numpy's integer one."""
-    return np.indices(tuple(cards)[::-1], dtype=np.float64).reshape(len(cards), math.prod(cards))
+    return (np.cumprod(radix, axis=1) // radix * member).astype(np.float64)
 
 
 def _block_rows(cards: Sequence[int], blocks: Sequence[Sequence[int]]) -> np.ndarray:
@@ -638,7 +633,7 @@ def _block_rows(cards: Sequence[int], blocks: Sequence[Sequence[int]]) -> np.nda
     member = np.zeros((len(blocks), len(cards)), dtype=bool)
     for b, block in enumerate(blocks):
         member[b, list(block)] = True
-    return (_block_weights(cards, member) @ _config_digits(cards)).astype(np.int64)
+    return (_block_weights(cards, member) @ config_table(cards).T).astype(np.int64)
 
 
 def _mech_joint(tables: Sequence[np.ndarray], rows: Sequence[np.ndarray]) -> np.ndarray:

@@ -23,7 +23,7 @@ from cpt_refine import (
 )
 from cpt_refine.cpt import _median_pair_params
 from cpt_refine.errors import ShapeMismatchError, ValidationError
-from cpt_refine.refine import PruneSpec, prune_groups
+from cpt_refine.refine import PruneSpec, _block_rows, prune_groups
 
 from conftest import random_cpt
 
@@ -78,6 +78,23 @@ class TestRowIndexing:
         assert np.all((states >= 0) & (states < np.asarray(cards)))
         strides = np.cumprod((1, *cards[:-1]))
         assert (states @ strides).tolist() == list(range(math.prod(cards)))
+
+    @settings(max_examples=50)
+    @given(cards=st.lists(st.integers(min_value=2, max_value=4), min_size=0, max_size=5))
+    @example(cards=[])
+    def test_row_k_holds_the_mixed_radix_digits_of_k(self, cards):
+        states = config_table(cards)
+        assert states.dtype == np.int64 and states.flags.c_contiguous
+        assert states.shape == (math.prod(cards), len(cards))  # (1, 0) for a root node
+        for k, row in enumerate(states.tolist()):
+            digits = []
+            for c in cards:  # the first parent fastest
+                k, digit = divmod(k, c)
+                digits.append(digit)
+            assert row == digits
+        # each parent alone as a block indexes the rows by its own state
+        singletons = [(i,) for i in range(len(cards))]
+        assert np.array_equal(_block_rows(cards, singletons), states.T)
 
 
 class TestTvd:

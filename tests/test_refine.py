@@ -173,7 +173,7 @@ class TestPruneBest:
             cards, hot = (3, 2), [0, 1, 2, 1, 2, 0]
         else:
             # a 4-state child over P (4 states) and Q (3 states): pruning P leaves group 1
-            # (Q = 1) with all-zero medians, and pruning Q, scored first among the batches
+            # (Q = 1) with all-zero medians, and pruning Q, scored in a batch of its own
             # as the parent with fewer states, group 0 (P = 0)
             cards, hot = (4, 3), [1, 0, 0, 0, 0, 1, 2, 3, 2, 0, 0, 0]
         states = [tuple(f"s{j}" for j in range(c)) for c in (len(set(hot)), *cards)]
@@ -193,13 +193,26 @@ class TestPruneBest:
 
     def test_ties_across_state_counts_go_to_the_first_parent(self):
         # parents of 3, 2 and 4 states: their prunes are scored in batches of different
-        # group counts, Q's first; every prune fits the one repeated row exactly
+        # group counts, one per shape; every prune fits the one repeated row exactly
         states = ("s0", "s1", "s2", "s3")
         parents = tuple(Variable(name, states[:c]) for name, c in zip("PQR", (3, 2, 4)))
         truth = Cpt(BIN, parents, [[0.3, 0.7]] * 24)
         spec, result = prune_best(truth)
         assert spec == PruneSpec(0)
         assert result.score == 0.0
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_parents_of_one_state_count_share_a_plan(self, rounded):
+        # parents of 3, 2 and 3 states: P and R prune through the one plan of shape (3,),
+        # Q through that of shape (2,); each prune scores as it does alone
+        truth = (_tie_prone_cpt if rounded else random_cpt)(
+            np.random.default_rng(71), (3, 2, 3), 3
+        )
+        alone = [evaluate_spec(truth, PruneSpec(p)) for p in range(3)]
+        plans = {(c,): np.zeros((1, c), dtype=np.int64) for c in (3, 2)}
+        scores = refine._divorce_scores(truth, [(0,), (1,), (2,)], plans, states=1)
+        assert [s.hex() for s in scores] == [r.score.hex() for r in alone]
+        _assert_prune_search_matches_loop(truth)
 
 
 def _loop_prune_best(truth):
@@ -322,8 +335,9 @@ def _loop_divorce_scores(truth, subset):
 def _divorce_subset_scores(truth, subset):
     """The plan's fitted candidates of ``subset`` and their scores: the search's batched
     scorer restricted to one subset."""
-    fitted, patterns = refine._divorce_plan(tuple(truth.parent_cards[i] for i in subset))
-    _, scores = refine._divorce_scores(truth, [subset], [patterns], states=2)
+    shape = tuple(truth.parent_cards[i] for i in subset)
+    fitted, patterns = refine._divorce_plan(shape)
+    scores = refine._divorce_scores(truth, [subset], {shape: patterns}, states=2)
     return fitted.tolist(), scores.tolist()
 
 
@@ -468,6 +482,41 @@ class TestDivorceBest:
             divorce_best(truth)
         assert str(search_error.value) == str(loop_error.value)
 
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_subsets_of_one_configuration_count_and_two_shapes(self, rounded):
+        # parents of 2, 3 and 2 states and a 3-state child: (0, 1) has shape 2x3 and
+        # (1, 2) shape 3x2, six configurations each but two plans, scored in separate
+        # chunks; the last subset's shape comes first, so chunks run out of search order
+        truth = (_tie_prone_cpt if rounded else random_cpt)(
+            np.random.default_rng(73), (2, 3, 2), 3
+        )
+        subsets, shapes = [(0, 1), (0, 2), (1, 2)], [(2, 3), (2, 2), (3, 2)]
+        plans = {shape: refine._divorce_plan(shape) for shape in reversed(shapes)}
+        loop = [_loop_divorce_scores(truth, s) for s in subsets]
+        scores = refine._divorce_scores(truth, subsets, {c: p[1] for c, p in plans.items()}, 2)
+        # every fitted candidate, subset by subset in search order, scores as it does alone
+        expected = [alone[c] for (_, alone), shape in zip(loop, shapes) for c in plans[shape][0]]
+        assert [s.hex() for s in scores] == [s.hex() for s in expected]
+        specs = [spec for loop_specs, _ in loop for spec in loop_specs]
+        loop_scores = [score for _, loop_scores in loop for score in loop_scores]
+        spec, result = divorce_best(truth)
+        assert spec == specs[loop_scores.index(min(loop_scores))]
+        assert result.score.hex() == min(loop_scores).hex()
+
+    def test_first_failure_across_two_shapes_of_one_configuration_count(self):
+        # the same parents with one-hot rows: a candidate over (0, 1), shape 2x3, and one
+        # over (1, 2), shape 3x2, cannot be fitted; the search fails as (0, 1) does, though
+        # the scorer is handed the 3x2 plan first
+        base = random_cpt(np.random.default_rng(0), (2, 3, 2), 3)
+        truth = Cpt(base.child, base.parents, np.eye(3)[[2, 1, 1, 0, 0, 0, 0, 0, 0, 2, 1, 2]])
+        subsets, shapes = [(0, 1), (0, 2), (1, 2)], [(2, 3), (2, 2), (3, 2)]
+        loop = [_message_or(lambda: _loop_divorce_scores(truth, s)) for s in subsets]
+        assert loop[0] == "group 2 has all-zero medians"
+        assert loop[2] == "group 0 has all-zero medians"
+        plans = {shape: refine._divorce_plan(shape)[1] for shape in reversed(shapes)}
+        assert _message_or(lambda: refine._divorce_scores(truth, subsets, plans, 2)) == loop[0]
+        assert _message_or(lambda: divorce_best(truth)) == loop[0]
+
     def test_ties_across_subsets_go_to_the_first_candidate(self):
         # every divorce of a table with one row repeated fits it exactly
         truth = Cpt(BIN, binary_parents(3), [[0.3, 0.7]] * 8)
@@ -477,7 +526,7 @@ class TestDivorceBest:
 
     def test_ties_across_configuration_counts_go_to_the_first_candidate(self):
         # parents of 3, 2, 2 and 4 states: the pairs have 4 to 12 configurations, so their
-        # candidates are scored in batches of different group counts, the pair (Q, R) first;
+        # candidates are scored in batches of different group counts, one per shape;
         # every divorce fits the one repeated row exactly
         states = ("s0", "s1", "s2", "s3")
         parents = tuple(Variable(name, states[:c]) for name, c in zip("PQRS", (3, 2, 2, 4)))
@@ -489,7 +538,7 @@ class TestDivorceBest:
     def test_first_failure_in_search_order_fails_the_search(self):
         # P has 3 states and Q, R 2: (P, Q) fits; in (P, R), 6 configurations, AND over
         # P = s0 and R = s1 leaves group 2 with all-zero medians; in (Q, R), 4
-        # configurations and so scored first, AND over Q = s0 and R = s1 leaves group 4
+        # configurations and so scored apart, AND over Q = s0 and R = s1 leaves group 4
         rows = [
             [0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5],
             [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0],
@@ -529,11 +578,26 @@ class TestDivorceBest:
         for subsets in (pairs[:1], pairs):
             tracemalloc.start()
             try:
-                refine._divorce_scores(truth, subsets, [patterns] * len(subsets), states=2)
+                refine._divorce_scores(truth, subsets, {(2, 2): patterns}, states=2)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 64 * 2**10
+
+    def test_scoring_keeps_no_per_candidate_bookkeeping(self):
+        # a pair of 7-state parents: 19,845 fitted candidates, whose scores and first
+        # all-zero groups take 0.3 MiB; a per-candidate subset and configuration count
+        # for each, as int64, would add another 0.3 MiB
+        truth = random_cpt(np.random.default_rng(37), (7, 7))
+        _, patterns = refine._divorce_plan((7, 7))
+        assert len(patterns) == 19_845
+        tracemalloc.start()
+        try:
+            refine._divorce_scores(truth, [(0, 1)], {(7, 7): patterns}, states=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8 * 2**20
 
     @pytest.mark.parametrize("size", [10, 9])
     def test_scoring_reads_the_patterns_in_place(self, size):
@@ -546,7 +610,7 @@ class TestDivorceBest:
         patterns[:, :2] = (0, 1)  # both node states at every remaining configuration
         tracemalloc.start()
         try:
-            refine._divorce_scores(truth, subsets, [patterns] * len(subsets), states=2)
+            refine._divorce_scores(truth, subsets, {(2,) * size: patterns}, states=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
