@@ -44,7 +44,6 @@ from .refine import (
     PruneSpec,
     ScmSpec,
     SiciSpec,
-    default_binarization,
     divorce_best,
     divorce_groups,
     evaluate_spec,

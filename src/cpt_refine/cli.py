@@ -50,6 +50,7 @@ from .optimizer import (
     scm_exact,
 )
 from .refine import (
+    GATES,
     ApproxResult,
     DivorceSpec,
     IciSpec,
@@ -57,7 +58,6 @@ from .refine import (
     RefinementSpec,
     ScmSpec,
     SiciSpec,
-    default_binarization,
     divorce_best,
     evaluate_spec,
     prune_best,
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divorce", help="divorce parents through a logic gate")
     p.add_argument("truth")
     p.add_argument("--parents", help="comma-separated parents (default: best pair)")
-    p.add_argument("--gate", choices=("AND", "OR", "XOR"), default=None)
+    p.add_argument("--gate", choices=GATES, default=None)
     p.add_argument(
         "--map",
         action="append",
@@ -262,26 +262,40 @@ def cmd_prune(args) -> int:
     return 0
 
 
-def _parse_state_map(truth: Cpt, entries: list[str]) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
+def _binarization(truth: Cpt, divorced: tuple[int, ...], entries: list[str]) -> tuple:
+    """Per divorced parent, the states ``--map`` sends to gate input 1, read in one pass
+    over its entries: state 1 of a binary parent unless mapped; a wider parent must be
+    mapped. A mapping names some but not all states, each once, of a divorced parent,
+    and is given once. Errors name the parent."""
+    mapped: dict[int, list[int]] = {}
     for entry in entries:
         if "=" not in entry:
             raise ValidationError(f"--map needs PARENT=STATE[,STATE], got {entry!r}")
         name, states = entry.split("=", 1)
         i = _parent_index(truth, name.strip())
         variable = truth.parents[i]
-        if i in out:
+        if i in mapped:
             raise ValidationError(f"--map gives parent {variable.name} twice; "
                                   "list all its states in one PARENT=STATE[,STATE]")
-        indices = []
-        for label in states.split(","):
-            if label not in variable.states:
-                raise ValidationError(
-                    f"unknown state {label!r} for {variable.name}; states are {variable.states}"
-                )
-            indices.append(variable.states.index(label))
-        out[i] = indices
-    return out
+        unknown = [label for label in states.split(",") if label not in variable.states]
+        if unknown:
+            raise ValidationError(
+                f"unknown state {unknown[0]!r} for {variable.name}; states are {variable.states}"
+            )
+        mapped[i] = [variable.states.index(label) for label in states.split(",")]
+    stray = [truth.parents[i].name for i in mapped if i not in divorced]
+    if stray:
+        raise ValidationError(f"binarization given for parent {stray[0]}, which is not divorced")
+    for i in divorced:
+        name, card = truth.parents[i].name, truth.parents[i].cardinality
+        if i not in mapped and card != 2:
+            raise ValidationError(f"parent {name} has {card} states; "
+                                  "choose which map to gate input 1")
+        b = mapped.setdefault(i, [1])
+        if not 0 < len(set(b)) == len(b) < card:
+            raise ValidationError(f"parent {name} must map some but not all of its states "
+                                  "to gate input 1, each once")
+    return tuple(mapped[i] for i in divorced)
 
 
 def cmd_divorce(args) -> int:
@@ -296,9 +310,7 @@ def cmd_divorce(args) -> int:
         for j, i in enumerate(divorced):
             if i in divorced[:j]:
                 raise ValidationError(f"--parents names {truth.parents[i].name} twice")
-        overrides = _parse_state_map(truth, args.map)
-        binarization = default_binarization(truth.parents, divorced, overrides)
-        spec = DivorceSpec(divorced, args.gate or "AND", binarization)
+        spec = DivorceSpec(divorced, args.gate or "AND", _binarization(truth, divorced, args.map))
         result = evaluate_spec(truth, spec)
     _emit_result(truth, spec, result, args.out)
     return 0

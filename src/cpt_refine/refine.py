@@ -23,10 +23,11 @@ of the truth. Pruning a parent is divorcing it alone into a one-state node,
 so a prune search is the one-state divorce of each parent in turn; a divorce
 search fits each distinct grouping of a subset once. Both follow search
 order: the winner is the first candidate of the lowest score, and a search
-fails with the error of the first candidate that cannot be fitted. Only the
-winner is expanded into a CPT. ``evaluate_spec`` is the one path from any
-spec to a reported fit (a grouping spec's row labels are fitted, expanded
-and scored once), and every search reports it for its winner.
+fails with the error of the first candidate that cannot be fitted, the one
+record the scorer keeps besides the scores. Only the winner is expanded
+into a CPT. ``evaluate_spec`` is the one path from any spec to a reported
+fit (a grouping spec's row labels are fitted, expanded and scored once),
+and every search reports it for its winner.
 
 The remaining two are causal-interaction models evaluated forward from a
 small set of mechanism parameters; their rows are generally all distinct and
@@ -43,8 +44,11 @@ there is no closed-form fit (the optimizer module searches them):
 
 One ``SiciSpec`` describes the whole family: ``IciSpec`` is its shorthand
 for singleton blocks with a combiner, and PICI (noisy-average among them) is
-DS-SICI with singleton blocks. One evaluator, ``sici_evaluate``, serves them
-all by reading a combiner f as its indicator lower table p(y | m) = [f(m) = y].
+DS-SICI with singleton blocks. One description, ``_mechanisms``, reads a spec
+against a table: its blocks' state tables and one lower table, a combiner f
+read as its indicator p(y | m) = [f(m) = y]. It makes every check of the spec
+against the table's shape, and both the one evaluator, ``sici_evaluate``, and
+``param_savings`` read it.
 """
 
 from __future__ import annotations
@@ -182,11 +186,6 @@ class SiciSpec:
         object.__setattr__(self, "mech_cpts", tuple(_as_tuples(tables[b]) for b in order))
         field = "combiner" if self.combiner is not None else "lower_cpt"
         object.__setattr__(self, field, _as_tuples(table))
-
-    def state_tables(self) -> list[np.ndarray]:
-        """Per block, the (k_b, configs_b) table of P(mechanism_b = s | configuration)."""
-        tables = [np.array(t, dtype=np.float64) for t in self.mech_cpts]
-        return [_binary_states(t) if t.ndim == 1 else t.T for t in tables]
 
 
 class IciSpec(SiciSpec):
@@ -345,33 +344,6 @@ def _gate_outputs(sub_cards: Sequence[int], choices: Sequence[Sequence[tuple]]) 
     return np.stack([ones == len(sub_cards), ones > 0, ones % 2 == 1])
 
 
-def default_binarization(
-    parents: Sequence[Variable],
-    divorced: Sequence[int],
-    overrides: dict[int, Sequence[int]] | None = None,
-) -> tuple[tuple[int, ...], ...]:
-    """Binarization tuple for a divorce spec: state 1 maps to gate input 1
-    for binary parents unless overridden; wider parents must be overridden.
-    An override lists some but not all states, each once, of a divorced
-    parent. Errors name the parent."""
-    overrides = overrides or {}
-    stray = [parents[i].name for i in overrides if i not in divorced]
-    if stray:
-        raise ValidationError(f"binarization given for parent {stray[0]}, which is not divorced")
-    out = []
-    for i in divorced:
-        name, card = parents[i].name, parents[i].cardinality
-        if i not in overrides and card != 2:
-            raise ValidationError(f"parent {name} has {card} states; "
-                                  "choose which map to gate input 1")
-        b = tuple(sorted(int(s) for s in overrides.get(i, (1,))))
-        if not 0 < len(set(b)) == len(b) < card:
-            raise ValidationError(f"parent {name} must map some but not all of its states "
-                                  "to gate input 1, each once")
-        out.append(b)
-    return tuple(out)
-
-
 def _binarizations(card: int) -> list[tuple[int, ...]]:
     """A parent's binarizations in search order: the proper nonempty subsets of
     range(card), smallest first, lexicographic."""
@@ -503,7 +475,9 @@ def _divorce_scores(
     candidate i is subset ``own[i // len(plan)]`` at plan row ``i % len(plan)``. Each
     reads its groups' median pairs from one :func:`_sorted_columns` read, makes them
     distributions by :func:`fit_grouping`'s two steps and sums its (rows, states)
-    differences in row order, as :func:`score_sum_tvd` does.
+    differences in row order, as :func:`score_sum_tvd` does. Besides the scores, the
+    search keeps one record: the (search position, group) of the first candidate, in
+    search order, with a group of all-zero medians.
     """
     n_rows, k = truth.rows.shape
     cards = truth.parent_cards
@@ -516,7 +490,7 @@ def _divorce_scores(
     weights = _block_weights(cards, np.concatenate((member, ~member))).reshape(2, *member.shape)
     weights[1] *= states
     digits = config_table(cards).T.astype(np.float64)  # cast once, not in every product
-    scores, first_zero = np.empty(offsets[-1]), np.empty(offsets[-1], dtype=np.int64)
+    scores, first_failure = np.empty(offsets[-1]), (math.inf, -1)
     columns = _sorted_columns(truth.rows)
     step = max(1, _DIVORCE_CHUNK_ELEMENTS // (n_rows * k))
     for shape, plan in plans.items():
@@ -537,12 +511,15 @@ def _divorce_scores(
             # every count is positive: each node state is some subset configuration's output
             counts = np.bincount(flat.ravel(), minlength=n_cand * n_groups).reshape(n_cand, -1)
             at = offsets[subset] + row  # in search order
-            params, first_zero[at] = _median_pair_params(*_median_pairs(*columns, labels, counts))
+            params, first_zero = _median_pair_params(*_median_pairs(*columns, labels, counts))
+            if first_zero.max() >= 0:  # the chunk's candidates are in search order
+                j = np.argmax(first_zero >= 0)
+                first_failure = min(first_failure, (at[j], first_zero[j]))
             scores[at] = 0.5 * np.abs(
                 truth.rows - np.take(params.reshape(-1, k), flat, axis=0)
             ).reshape(n_cand, -1).sum(axis=1)
             del params  # freed before the next chunk: a search's memory stays flat
-    _raise_first_all_zero(first_zero)
+    _raise_first_all_zero(np.array(first_failure[1:]))
     return scores
 
 
@@ -667,32 +644,47 @@ def _check_covers(partition: Sequence[Sequence[int]], n_parents: int) -> None:
         raise ShapeMismatchError("parent partition must cover exactly the parents")
 
 
+def _mechanisms(
+    spec: SiciSpec, cards: Sequence[int], child_card: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """An interaction spec described against a table of parents with these state counts
+    and a child of ``child_card`` states: per block, the (k_b, configs_b) table of
+    P(mechanism_b = s | configuration), and the (prod k_b, child states) lower table
+    p(y | m), a combiner f read as its indicator table [f(m) = y]. Fails if the spec does
+    not fit the table."""
+    if spec.combiner is not None:
+        if child_card != 2:
+            raise ValidationError("a deterministic combiner requires a binary child; "
+                                  f"the child has {child_card} states")
+        if any(not 0 <= y < child_card for y in spec.combiner):
+            raise ValidationError("combiner assigns an unknown child state")
+        lower = np.eye(child_card)[list(spec.combiner)]
+    else:
+        lower = np.array(spec.lower_cpt)
+        if lower.shape[1] != child_card:
+            raise ShapeMismatchError("lower table needs one column per child state")
+    _check_covers(spec.parent_partition, len(cards))
+    tables = []
+    for block, mech in zip(spec.parent_partition, spec.mech_cpts):
+        size = math.prod(cards[i] for i in block)
+        if len(mech) != size:
+            raise ShapeMismatchError(
+                f"mechanism table for block {block} has {len(mech)} entries, want {size}"
+            )
+        table = np.array(mech, dtype=np.float64)
+        tables.append(_binary_states(table) if table.ndim == 1 else table.T)
+    return tables, lower
+
+
 def sici_evaluate(child: Variable, parents: Sequence[Variable], spec: SiciSpec) -> Cpt:
     """Forward-evaluate a causal-interaction model (ICI, US/DS-SICI, PICI).
 
     p(y | x) = sum over mechanism configurations m of
-    p(y | m) * prod_b P(m_b | x's configuration within block b). A
-    deterministic combiner f is read as its indicator lower table
-    p(y | m) = [f(m) = y].
+    p(y | m) * prod_b P(m_b | x's configuration within block b), from the
+    tables :func:`_mechanisms` describes the spec by.
     """
-    if spec.combiner is not None:
-        _require_binary(child, "a deterministic combiner")
-        if any(not 0 <= y < child.cardinality for y in spec.combiner):
-            raise ValidationError("combiner assigns an unknown child state")
-        lower = np.eye(child.cardinality)[list(spec.combiner)]
-    else:
-        lower = np.array(spec.lower_cpt)
-        if lower.shape[1] != child.cardinality:
-            raise ShapeMismatchError("lower table needs one column per child state")
     cards = tuple(p.cardinality for p in parents)
-    _check_covers(spec.parent_partition, len(parents))
-    tables = spec.state_tables()
-    for block, table in zip(spec.parent_partition, tables):
-        size = math.prod(cards[i] for i in block)
-        if table.shape[1] != size:
-            raise ShapeMismatchError(
-                f"mechanism table for block {block} has {table.shape[1]} entries, want {size}"
-            )
+    tables, lower = _mechanisms(spec, cards, child.cardinality)
     joint = _mech_joint(tables, _block_rows(cards, spec.parent_partition))
     # a product of the transposed view itself would differ in the last bits
     return Cpt(child, tuple(parents), np.ascontiguousarray(joint.T) @ lower)
@@ -711,18 +703,17 @@ def param_savings(
     Counts generalise the all-binary formulas by taking products of block
     cardinalities: a k-state mechanism over a parent block costs k - 1 free
     parameters per joint configuration of the block, and a lower table
-    child_card - 1 per mechanism configuration.
+    child_card - 1 per mechanism configuration. Counted from the tables
+    :func:`_mechanisms` or :func:`_node` describes the spec by, so a spec that does
+    not fit the shape fails as :func:`evaluate_spec` fails on it.
     """
     cards = tuple(int(c) for c in parent_cards)
     full = param_count(cards, child_card)
     if isinstance(spec, SiciSpec):
-        mech_cards = [len(t) for t in spec.state_tables()]
-        free = sum(
-            math.prod(cards[i] for i in b) * (k - 1)
-            for b, k in zip(spec.parent_partition, mech_cards)
-        )
+        tables, lower = _mechanisms(spec, cards, child_card)
+        free = sum(t.shape[1] * (len(t) - 1) for t in tables)
         if spec.lower_cpt is not None:
-            free += math.prod(mech_cards) * (child_card - 1)
+            free += len(lower) * (child_card - 1)
     else:
         # one distribution per (node state, configuration of the parents the node leaves)
         divorced, _, k = _node(cards, spec)

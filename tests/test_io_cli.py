@@ -716,6 +716,27 @@ class TestMethodCommands:
         assert code == 2 and out == ""
         assert err == "error: --parents names Depression twice\n"
 
+    @pytest.mark.parametrize("maps", [["SleepDuration=10hours"],
+                                      ["Hypertension=Yes", "SleepDuration=10hours"]])
+    def test_divorce_reports_unknown_state_before_parent_not_divorced(self, capsys, maps):
+        # every --map entry is read before any is checked against the divorced parents
+        flags = [f for m in maps for f in ("--map", m)]
+        code, out, err = _run(
+            capsys, ["divorce", str(fixture_path("anxiety")), "--parents", "Depression,Sex", *flags]
+        )
+        assert code == 2 and out == ""
+        assert err == ("error: unknown state '10hours' for SleepDuration; "
+                       "states are ('6-9hours', '<6hours', '>9hours')\n")
+
+    def test_divorce_gate_outside_the_gates_exits_2_in_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["divorce", str(fixture_path("anxiety")), "--parents", "Depression,Sex",
+                  "--gate", "NAND"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "argument --gate: invalid choice: 'NAND' (choose from 'AND', 'OR', 'XOR')" in out.err
+
     def test_divorce_of_one_parent_table_exits_2(self, capsys, tmp_path):
         truth_path = tmp_path / "one_parent.json"
         save_cpt(random_cpt(np.random.default_rng(43), (3,)), truth_path)

@@ -599,6 +599,20 @@ class TestDivorceBest:
             tracemalloc.stop()
         assert peak < 0.8 * 2**20
 
+    def test_scoring_keeps_one_failure_record(self):
+        # the same 7-state pair: besides the 0.15 MiB of scores, the search keeps only the
+        # (search position, group) of its first failure; each candidate's first all-zero
+        # group as int64, another 0.15 MiB, would take the peak past the bound
+        truth = random_cpt(np.random.default_rng(37), (7, 7))
+        _, patterns = refine._divorce_plan((7, 7))
+        tracemalloc.start()
+        try:
+            refine._divorce_scores(truth, [(0, 1)], {(7, 7): patterns}, states=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.56 * 2**20
+
     @pytest.mark.parametrize("size", [10, 9])
     def test_scoring_reads_the_patterns_in_place(self, size):
         # 10 binary parents and 256 candidate nodes over each of the first (up to three)
@@ -1103,6 +1117,71 @@ class TestParamSavings:
         with pytest.raises(error) as fitted:
             evaluate_spec(truth, spec)
         assert str(counted.value) == str(fitted.value)
+
+
+    MISFITS = [
+        (SiciSpec(((0,), (5,)), [(0.5, 0.5)] * 2, combiner=(0, 1, 1, 1)), 2, ShapeMismatchError),
+        (IciSpec([(0.5,) * 3, (0.5,) * 2], (0, 1, 1, 1)), 2, ShapeMismatchError),
+        (SiciSpec(((0,),), [(0.5, 0.5)], combiner=(0, 1)), 2, ShapeMismatchError),
+        (IciSpec([(0.5, 0.5)] * 2, (0, 1, 1, 1)), 3, ValidationError),
+        (SiciSpec(((0,), (1,)), [(0.5, 0.5)] * 2, lower_cpt=[[1, 0]] * 4), 3, ShapeMismatchError),
+    ]
+
+    @pytest.mark.parametrize("spec, child_card, error", MISFITS, ids=[
+        "block-past-last", "mechanism-table-too-long", "parent-left-out",
+        "combiner-of-3-state-child", "lower-table-short-of-child-states",
+    ])
+    def test_interaction_spec_that_does_not_fit_is_refused(self, spec, child_card, error):
+        # two binary parents: each spec fails evaluate_spec, and param_savings fails alike
+        truth = random_cpt(np.random.default_rng(5), (2, 2), child_card)
+        with pytest.raises(error) as counted:
+            param_savings(spec, (2, 2), child_card)
+        with pytest.raises(error) as fitted:
+            evaluate_spec(truth, spec)
+        assert str(counted.value) == str(fitted.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_count_agrees_with_evaluate_spec_on_every_interaction_spec(self, data):
+        # an ICI, US-SICI or DS-SICI (PICI with singleton blocks) spec built for one shape,
+        # applied to a truth of a shape that may differ: both calls give the same free
+        # count, or both fail with the same error
+        cards_st = st.lists(st.integers(2, 4), min_size=1, max_size=4)
+        cards = data.draw(cards_st, label="spec cards")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = data.draw(st.sampled_from(["ici", "us", "ds"]), label="kind")
+        if kind == "ici":
+            labels = list(range(len(cards)))
+        else:
+            labels = data.draw(st.lists(st.integers(0, len(cards) - 1), min_size=len(cards),
+                                        max_size=len(cards)), label="block of each parent")
+        blocks = [tuple(i for i, b in enumerate(labels) if b == label)
+                  for label in dict.fromkeys(labels)]
+        mech, mech_cards = [], []
+        for block in blocks:
+            size, k = math.prod(cards[i] for i in block), data.draw(st.integers(1, 3))
+            mech.append(tuple(rng.random(size)) if k == 1 else rng.dirichlet(np.ones(k), size))
+            mech_cards.append(max(k, 2))
+        n_configs = math.prod(mech_cards)
+        if kind == "ds":
+            lower = rng.dirichlet(np.ones(data.draw(st.integers(2, 3), label="lower columns")),
+                                  n_configs)
+            spec = SiciSpec(blocks, mech, lower_cpt=lower)
+        else:
+            spec = SiciSpec(blocks, mech, combiner=rng.integers(0, 2, n_configs).tolist())
+        same = data.draw(st.booleans(), label="truth of the spec's shape")
+        truth_cards = cards if same else data.draw(cards_st, label="truth cards")
+        truth = random_cpt(rng, truth_cards, data.draw(st.integers(2, 3), label="child states"))
+
+        def outcome(call):
+            try:
+                return call()
+            except Exception as e:
+                return type(e), str(e)
+
+        counted = outcome(lambda: param_savings(spec, truth_cards, truth.child.cardinality)[0])
+        fitted = outcome(lambda: evaluate_spec(truth, spec).free_params)
+        assert counted == fitted
 
 
 class TestEvaluateSpec:
