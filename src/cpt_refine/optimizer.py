@@ -482,7 +482,7 @@ class _Starts:
 
     def take(self, idx: np.ndarray) -> "_Starts":
         """The starts ``idx`` as a batch of their own, copied in C order."""
-        cols = [np.take(x, idx, axis=-1) for x in (*self.mech, self.comb, self.p_yes, self.score)]
+        cols = [x.take(idx, axis=-1) for x in (*self.mech, self.comb, self.p_yes, self.score)]
         return _Starts(cols[:-3], *cols[-3:])
 
     def put(self, idx: np.ndarray, chunk: "_Starts") -> np.ndarray:
@@ -524,8 +524,8 @@ def _random_starts(structure: _Structure, rng: np.random.Generator, n: int) -> _
     comb[1:] = rng.integers(0, 2, size=(n, len(comb) - 1)).T
     p_yes = np.empty((len(structure.t_yes), n))
     for idx, cols in _chunks(structure, np.arange(n)):
-        joint = _joint(structure, [np.take(m, cols, axis=1) for m in mech])
-        p_yes[:, idx] = (joint * np.take(comb, cols, axis=1)[:, None, :]).sum(axis=0)[:, : idx.size]
+        joint = _joint(structure, [m.take(cols, axis=1) for m in mech])
+        p_yes[:, idx] = (joint * comb.take(cols, axis=1)[:, None, :]).sum(axis=0)[:, : idx.size]
     return _Starts(mech, comb, p_yes, np.abs(p_yes - structure.t_yes).sum(axis=0))
 
 
@@ -534,34 +534,35 @@ def _flip_combiner(structure: _Structure, starts: _Starts) -> int:
 
     Every flip of every still-improving start is scored at once; configuration 0
     stays pinned. ``starts`` holds at least two columns (see :func:`_wide`).
-    Returns the number of candidate scores computed.
+    ``moves`` holds each flippable configuration's signed change to a start's
+    P(Y = 1): its mass times 1 - 2 * comb, which is +-1, so the product is exact
+    and a flip only negates its entry. A candidate is p + move, the bits of
+    p + sign * mass. Returns the number of candidate scores computed.
     """
-    # (2^m - 1, rows, starts): the P(Y = 1) mass each flippable configuration
-    # moves, for the columns _wide(active)
+    # (2^m - 1, rows, active starts); a lone start's column broadcasts over its two
     moves = _joint(structure, starts.mech)[1:]
+    moves *= 1.0 - 2.0 * starts.comb[1:, None, :]
     active = np.arange(len(starts.score))
     evaluations = 0
     while active.size:
-        cols = _wide(active)
-        sign = 1.0 - 2.0 * np.take(starts.comb[1:], cols, axis=1)
-        p = np.take(starts.p_yes, cols, axis=1)
-        # |p + sign * moves - t| per candidate, built in one buffer
-        dev = np.multiply(sign[:, None, :], moves)
-        dev += p
+        p = starts.p_yes.take(_wide(active), axis=1)
+        # |p + move - t| per candidate, built in one buffer
+        dev = np.add(moves, p)
         dev -= structure.t_yes
-        scores = np.abs(dev, out=dev).sum(axis=1)
+        scores = np.add.reduce(np.abs(dev, out=dev), axis=1)
         evaluations += len(scores) * active.size
         at = np.arange(active.size)
-        j = np.argmin(scores, axis=0)[at]
-        improves = scores[j, at] < starts.score[active]
-        every = improves.all()
+        j = scores.argmin(axis=0)[at]
+        best = scores[j, at]
+        improves = best < starts.score[active]
         at, j, active = at[improves], j[improves], active[improves]
         starts.comb[j + 1, active] = 1.0 - starts.comb[j + 1, active]
         # the candidate's P(Y = 1) again, in the bits it was scored with
-        starts.p_yes[:, active] = p[:, at] + sign[j, at] * moves[j, :, at].T
-        starts.score[active] = scores[j, at]
-        if not every:
-            moves = np.take(moves, _wide(at), axis=2)
+        starts.p_yes[:, active] = p[:, at] + moves[j, :, at].T
+        starts.score[active] = best[improves]
+        moves[j, :, at] = -moves[j, :, at]
+        if at.size < improves.size:
+            moves = moves.take(at, axis=2)
     return evaluations
 
 
@@ -577,7 +578,14 @@ def _fit_block(structure: _Structure, starts: _Starts, b: int) -> int:
     least-absolute-deviation optimum over [0, 1] is the lower weighted median
     of clip((t - d) / a, 0, 1), weights |a|, over the rows that read it: each
     group is sorted stably, and flat indices (configuration, rank, start) gather
-    the sorted weights, whose prefix sums locate that median. A parameter read
+    the sorted weights. Their prefix sums are the sequential adds of a
+    cumulative sum, made one rank at a time over every group while the ranks
+    are few against the groups, and by ``cumsum`` group by group otherwise:
+    the same adds, so the same bits. The lower median's rank is the number of
+    ranks whose doubled prefix weight is still below the group's total: the
+    weights are >= 0, so the doubled prefix never falls and that count is the
+    first rank where it reaches the total. ``np.clip`` keeps a z of -0.0
+    (t == d, a < 0) as it is, as the refit in row order did. A parameter read
     only by rows with a = 0 keeps its value; a start keeps its old block if the
     refit would raise its score. P(Y = 1) returns to row order before it is
     scored, so every element and sum is the one a refit in row order computes.
@@ -591,22 +599,31 @@ def _fit_block(structure: _Structure, starts: _Starts, b: int) -> int:
     off = halves[:, 0].reshape(-1, 1, n)
     on = halves[:, 1].reshape(-1, 1, n)
     # (others, starts); with b the only block the joint is the (1, 1) empty product
-    d = (joint * off).sum(axis=0)
-    a = (joint * (on - off)).sum(axis=0)
-    z = np.clip(np.divide(t - d, a, out=np.zeros((*t.shape[:2], n)), where=a != 0), 0.0, 1.0)
+    d = np.add.reduce(joint * off, axis=0)
+    a = np.add.reduce(joint * (on - off), axis=0)
+    z = np.divide(t - d, a, out=np.zeros((*t.shape[:2], n)), where=a != 0)
+    np.clip(z, 0.0, 1.0, out=z)
 
-    order = np.argsort(z, axis=1, kind="stable")
+    order = z.argsort(axis=1, kind="stable")
     # every group reads the same weights: rank k of group c gathers |a| at order * n + s
-    cum_w = np.take(np.abs(a), order * n + np.arange(n)).cumsum(axis=1)
-    total = cum_w[:, -1]
-    lower = np.argmax(2.0 * cum_w >= total[:, None, :], axis=1)
+    cum = np.abs(a).take(order * n + np.arange(n))
+    # one add per rank costs about as much as cumsum's pass over 64 groups: the adds win
+    # on network nodes (2-9 ranks, 600-2700 groups), cumsum on Anxiety's 12-rank blocks
+    # (600 groups) and on ICI over 5 or more binary parents (16-2048 ranks, 4-256 groups)
+    if (cum.shape[1] - 1) * 64 < cum.shape[0] * n:
+        for k in range(1, cum.shape[1]):
+            np.add(cum[:, k - 1], cum[:, k], out=cum[:, k])
+    else:
+        cum = cum.cumsum(axis=1)
+    total = cum[:, -1]
+    lower = np.add.reduce(2.0 * cum < total[:, None, :], axis=1)
     # base[c, s]: the flat index of group c's first element for start s
     base = np.arange(0, z.size, z.shape[1] * n).reshape(-1, 1) + np.arange(n)
-    median = np.take(z, np.take(order, lower * n + base) * n + base)
+    median = z.take(order.take(lower * n + base) * n + base)
     theta = np.where(total > 0.0, median, starts.mech[b])
 
-    p_yes = np.take((a * theta[:, None, :] + d).reshape(-1, n), structure.position[b], axis=0)
-    score = np.abs(p_yes - structure.t_yes).sum(axis=0)
+    p_yes = (a * theta[:, None, :] + d).reshape(-1, n).take(structure.position[b], axis=0)
+    score = np.add.reduce(np.abs(p_yes - structure.t_yes), axis=0)
     take = score <= starts.score
     np.copyto(starts.mech[b], theta, where=take)
     np.copyto(starts.p_yes, p_yes, where=take)

@@ -808,6 +808,40 @@ def _kernel_cases():
             yield f"{n_parents} parents random{2 * i + j}", structure, starts
         structure = optimizer._Structure.of(truth, blocks)
         yield f"{n_parents} parents {blocks}", structure, optimizer._random_starts(structure, rng, 7)
+    # 300 starts: every refit, over 2 or 3 configurations x 300 starts with 6-9 ranks
+    # each, adds its prefix sums one rank at a time; the small batches above, but one
+    # refit, take cumsum
+    truth = random_cpt(rng, (2, 3, 3))
+    structure = optimizer._Structure.of(truth, ((0,), (1,), (2,)))
+    yield "300 starts", structure, optimizer._random_starts(structure, rng, 300)
+    # two binary parents in singleton blocks; block 0's refit comes first. Rows are in
+    # canonical order, (p0, p1) at p0 + 2 * p1, and each group of block 0 reads p1 = 0, 1.
+    # Each case is yielded with 3 starts, and with 33, enough for the rank-by-rank sums.
+    # XOR: a row's d is mech1[p1] and its a is 1 - 2 * mech1[p1] < 0, so at p1 = 0 t == d
+    # and z is 0.0 / a = -0.0, each group's lower median: weight 0.8 against 0.5
+    xor = (
+        _yes_truth([0.9, 0.9, 0.5, 0.5]),
+        [np.array([[0.3, 0.6, 0.4], [0.3, 0.2, 0.45]]), np.array([[0.9] * 3, [0.75] * 3])],
+        np.array([[0.0, 1.0, 1.0, 0.0]] * 3).T,
+    )
+    # OR with mech1 = 1/2: both rows of a group weigh 0.5, so twice the first rank's
+    # prefix weight is the group's total, and the lower median is the first rank's z
+    half = (
+        _yes_truth([0.6, 0.7, 0.8, 0.9]),
+        [np.array([[0.3, 0.6, 0.1], [0.3, 0.2, 0.9]]), np.full((2, 3), 0.5)],
+        np.array([[0.0, 1.0, 1.0, 1.0]] * 3).T,
+    )
+    for reps in (1, 11):
+        for name, (truth, mech, comb) in (("z of -0.0", xor), ("prefix weight of half", half)):
+            structure = optimizer._Structure.of(truth, ((0,), (1,)))
+            mech, comb = [np.tile(m, reps) for m in mech], np.tile(comb, reps)
+            yield f"{name}, {3 * reps} starts", structure, _with_state(structure, mech, comb)
+
+
+def _yes_truth(yes):
+    """A truth over two binary parents with these P(Y=1), rows in canonical order."""
+    yes = np.array(yes)
+    return Cpt(BIN, _bin_parents(2), np.column_stack([1.0 - yes, yes]))
 
 
 class TestDescentKernels:
@@ -828,6 +862,35 @@ class TestDescentKernels:
                 [*old.mech, old.comb, old.p_yes, old.score],
             ):
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("search", ["anxiety", "two blocks of (2, 3, 3)", "lone start"])
+    def test_descent_is_bitwise_that_of_the_reference_kernels(self, search, anxiety, monkeypatch):
+        # rare states, such as a z of -0.0, arise on their own over whole searches
+        if search == "anxiety":
+            singletons = tuple((i,) for i in range(4))
+            runs = [(optimizer._Structure.of(anxiety, singletons), 300, seed) for seed in (0, 1)]
+        elif search == "two blocks of (2, 3, 3)":
+            truth = random_cpt(np.random.default_rng(12), (2, 3, 3))
+            two = [p for p in enumerate_set_partitions(3) if len(p) == 2]
+            runs = [(optimizer._Structure.of(truth, p), 100, seed) for seed, p in enumerate(two)]
+        else:
+            # chunks of three starts: the first sweep's last chunk holds a lone start twice
+            truth = random_cpt(np.random.default_rng(13), (2, 3, 3))
+            runs = [(optimizer._Structure.of(truth, ((0,), (1,), (2,))), 40, 3)]
+            monkeypatch.setattr(optimizer, "_DESCENT_CHUNK_ELEMENTS", (3 * 18) << 3)
+        for structure, population, seed in runs:
+            config = GaConfig(population=population, restarts=1, seed=seed)
+            got, *counts = optimizer._descend(structure, config, seed, 0, None)
+            with monkeypatch.context() as patched:
+                patched.setattr(optimizer, "_flip_combiner", _reference_flip_combiner)
+                patched.setattr(optimizer, "_fit_block", _reference_fit_block)
+                want, *want_counts = optimizer._descend(structure, config, seed, 0, None)
+            assert counts == want_counts  # sweeps and candidate scores
+            for mine, theirs in zip(
+                [*got.mech, got.comb, got.p_yes, got.score],
+                [*want.mech, want.comb, want.p_yes, want.score],
+            ):
+                assert mine.tobytes() == theirs.tobytes()
 
     def test_block_refit_works_over_the_other_configurations(self):
         # the other five blocks' (32, 32, 300) joint takes 2.3 MiB per copy: 4.9 MiB at
