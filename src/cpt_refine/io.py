@@ -13,13 +13,16 @@ The JSON document schema (``"format": 1``)::
     }
 
 Rows must cover every parent configuration exactly once, in canonical order
-(first listed parent varying fastest). The loader checks all rows at once:
-their configurations against the canonical label lists, the types of all
-their probabilities in one pass, then the probabilities as one array. Only
-when that check fails does it go row by row, so that an error names the
-first faulty row. The writer lays the document out as
-``json.dumps(document, indent=2)`` does, filling one row template with
-every row's labels and probabilities in a single %-format.
+(first listed parent varying fastest). One label table, each configuration's
+parent labels in that order, serves the loader, the writer and the
+side-by-side CSV. The loader checks all rows at once: their configurations
+against the table's label lists, the types of all their probabilities in one
+pass, then the probabilities as one float array. Only when that check fails
+does it go row by row, through one per-row fault finder that also catches an
+integer too large for a float, so that an error names the first faulty row.
+The writer lays the document out as ``json.dumps(document, indent=2)`` does,
+filling one row template with every row's labels and probabilities in a
+single %-format.
 Probabilities are stored at full float precision so save(load(x))
 round-trips byte-identically. Reports are
 CSV (comma separated, header row, UTF-8, LF) plus an aligned text table,
@@ -36,7 +39,7 @@ import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +54,15 @@ _NUMBER_TYPES = frozenset((int, float))  # what JSON numbers load as; bool is no
 
 def _config_labels(cpt_parents: Sequence[Variable], state_row: Sequence[int]) -> str:
     return ", ".join(f"{v.name}={v.states[s]}" for v, s in zip(cpt_parents, state_row))
+
+
+def _row_labels(parents: Sequence[Variable], encode: Callable[[str], str]) -> np.ndarray:
+    """Each configuration's parent labels, each passed through ``encode``, as a (rows,
+    parents) object array in canonical order (first parent fastest): every parent's
+    encoded labels sit in one array, and each parent's are read from its offset there."""
+    cards = [v.cardinality for v in parents]
+    every_label = np.array([encode(s) for v in parents for s in v.states], dtype=object)
+    return every_label[config_table(cards) + np.cumsum((0, *cards[:-1]))]
 
 
 def _parse_variable(obj, what: str, path: Path) -> Variable:
@@ -74,8 +86,9 @@ def _row_fault(
     n_probs: int,
     entry,
 ) -> str | None:
-    """What is structurally wrong with one row entry, as the tail of a message that
-    starts with its row number, or None. ``want`` is its canonical configuration."""
+    """What makes one row entry unreadable, a fault in its structure or a probability
+    that is an integer too large for a float, as the tail of a message that starts
+    with its row number, or None. ``want`` is its canonical configuration."""
     if not isinstance(entry, dict):
         return " must be a JSON object"
     config = entry.get("config")
@@ -99,13 +112,20 @@ def _row_fault(
         return f" ({_config_labels(parents, want)}) has {len(probs)} probabilities, need {n_probs}"
     if not _NUMBER_TYPES.issuperset(map(type, probs)):
         return f" ({_config_labels(parents, want)}) probabilities must be numbers"
+    try:
+        np.array(probs, dtype=np.float64)
+    except OverflowError as exc:  # an integer too large for a float
+        return f" ({_config_labels(parents, want)}) probabilities: {exc}"
     return None
 
 
-def _well_formed_probs(rows_doc: list, canonical: list[list[str]], n_probs: int) -> list | None:
-    """Every row's ``probs`` list when each row is an object whose ``config`` is its
-    canonical label list and whose ``probs`` are ``n_probs`` JSON numbers; None when
-    some row is not, and :func:`_row_fault` must find the first such row."""
+def _well_formed_probs(
+    rows_doc: list, canonical: list[list[str]], n_probs: int
+) -> np.ndarray | None:
+    """Every row's probabilities as a (rows, ``n_probs``) float array when each row is an
+    object whose ``config`` is its canonical label list and whose ``probs`` are
+    ``n_probs`` JSON numbers, each within a float's range; None when some row is not,
+    and :func:`_row_fault` must find the first such row."""
     try:
         if [entry["config"] for entry in rows_doc] != canonical:
             return None
@@ -116,7 +136,10 @@ def _well_formed_probs(rows_doc: list, canonical: list[list[str]], n_probs: int)
         return None
     if not _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(table))):
         return None
-    return table
+    try:
+        return np.array(table, dtype=np.float64)
+    except OverflowError:  # an integer too large for a float
+        return None
 
 
 def load_cpt(path: str | Path) -> Cpt:
@@ -152,51 +175,38 @@ def load_cpt(path: str | Path) -> Cpt:
         raise ValidationError(
             f"{path}: {len(rows_doc)} rows, need {math.prod(cards)} (one per configuration)"
         )
-    # each configuration's state labels, in canonical order (first parent fastest), read
-    # from every parent's labels in one array, each parent's from its offset there
     states = config_table(cards)
-    every_label = np.array([s for v in parents for s in v.states], dtype=object)
-    canonical = every_label[states + np.cumsum((0, *cards[:-1]))].tolist()
-    labels = lambda k: ", ".join(f"{v.name}={s}" for v, s in zip(parents, canonical[k]))
     n_probs = child.cardinality
 
     fault = None  # (row index, message tail) of the first faulty row found
-    table = _well_formed_probs(rows_doc, canonical, n_probs)
-    if table is None:
-        # rows are checked up to the first structurally faulty one, and the
+    probs = _well_formed_probs(rows_doc, _row_labels(parents, str).tolist(), n_probs)
+    if probs is None:
+        # some row is faulty: rows are checked up to the first one, and the
         # probabilities of the rows before it are checked together, in row order
         expected = states.tolist()
         indices_of = [{label: i for i, label in enumerate(v.states)} for v in parents]
-        table = []
         for k, entry in enumerate(rows_doc):
             tail = _row_fault(parents, indices_of, expected[k], n_probs, entry)
             if tail is not None:
                 fault = (k, tail)
                 break
-            table.append(entry["probs"])
-    try:
-        probs = np.array(table, dtype=np.float64).reshape(len(table), n_probs)
-    except OverflowError:  # an integer too large for a float: find its row
-        for k, row in enumerate(table):
-            try:
-                np.array(row, dtype=np.float64)
-            except OverflowError as exc:
-                fault = (k, f" ({labels(k)}) probabilities: {exc}")
-                break
-        probs = np.array(table[:k], dtype=np.float64).reshape(k, n_probs)
+        table = [entry["probs"] for entry in rows_doc[:k]]
+        probs = np.array(table, dtype=np.float64).reshape(k, n_probs)
     sums = probs.sum(axis=1)
     dev = np.abs(sums - 1.0)
     bad = (dev > LOAD_TOLERANCE) | ~in_unit_interval(probs).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
+        labels = _config_labels(parents, states[k])
         if dev[k] > LOAD_TOLERANCE:
-            fault = (k, f" ({labels(k)}) sums to {sums[k]:.6g}, not 1")
+            fault = (k, f" ({labels}) sums to {sums[k]:.6g}, not 1")
         else:  # out of range or NaN
-            fault = (k, f" ({labels(k)}) probabilities {table[k]} must lie in [0, 1]")
+            fault = (k, f" ({labels}) probabilities {rows_doc[k]['probs']} must lie in [0, 1]")
     n_checked = len(probs) if fault is None else fault[0]
     for k in np.flatnonzero(dev[:n_checked] > WARN_TOLERANCE):
         warnings.warn(
-            f"{path}: row {k + 1} ({labels(k)}) off by {dev[k]:.2e}; renormalising",
+            f"{path}: row {k + 1} ({_config_labels(parents, states[k])}) off by "
+            f"{dev[k]:.2e}; renormalising",
             stacklevel=2,
         )
     if fault is not None:
@@ -234,9 +244,7 @@ def save_cpt(cpt: Cpt, path: str | Path) -> None:
     # one line of cells per row: the encoded labels of its configuration, then its
     # probabilities as Python floats, whose %r is float.__repr__
     cells = np.empty((cpt.n_rows, n_parents + k), dtype=object)
-    states = config_table(cpt.parent_cards)
-    for i, v in enumerate(cpt.parents):
-        cells[:, i] = np.array([json.dumps(s) for s in v.states], dtype=object)[states[:, i]]
+    cells[:, :n_parents] = _row_labels(cpt.parents, json.dumps)
     cells[:, n_parents:] = cpt.rows.tolist()
     rows = _block("[", [row] * cpt.n_rows, "]", "  ") % tuple(cells.ravel().tolist())
     text = _block("{", [
@@ -315,15 +323,13 @@ def report_text(rows: Sequence[ReportRow], shape_free_params: int) -> str:
 
 def side_by_side_csv_text(truth: Cpt, methods: Mapping[str, Cpt]) -> str:
     """Side-by-side CSV: truth and per-method approximations row by row, 4dp."""
-    states = config_table(truth.parent_cards)
     header = ["row", *(v.name for v in truth.parents)]
     for name in ("truth", *methods):
         header.extend(f"{name}:{s}" for s in truth.child.states)
     lines = [",".join(map(_csv_field, header))]
-    labels = [[_csv_field(s) for s in v.states] for v in truth.parents]
+    labels = _row_labels(truth.parents, _csv_field).tolist()
     for k in range(truth.n_rows):
-        cells = [str(k + 1)]
-        cells.extend(quoted[s] for quoted, s in zip(labels, states[k]))
+        cells = [str(k + 1), *labels[k]]
         for cpt in (truth, *methods.values()):
             cells.extend(f"{p:.4f}" for p in cpt.rows[k])
         lines.append(",".join(cells))

@@ -72,10 +72,13 @@ from .refine import (
 ProgressFn = Callable[[int, float], None]
 
 # The most parent blocks an ICI/SICI search takes: a combiner has 2^blocks entries.
-_MAX_BLOCKS = 12
+# Over binary parents one batch of 300 starts took 5.6 s at 7 blocks and 80.5 s at 8
+# (2-core machine), and 20 starts of at most 5 sweeps 4.3 s at 8 and 55.8 s at 9, about
+# x13 per block: a default search of 10 batches takes minutes at 8 and hours from 9.
+_MAX_BLOCKS = 8
 # The most float64 values a search batch's own state may hold: population x (rows +
 # the blocks' configurations + 2^blocks). 2^26 values are 512 MiB; 300 starts of
-# Anxiety's ICI hold 14,700, and 300 over 12 binary parents about 2.5 million.
+# Anxiety's ICI hold 14,700, and 300 over 8 binary parents about 160,000.
 _MAX_BATCH_VALUES = 1 << 26
 
 # per-mutation Gaussian scale is 10**uniform(log10 range): mostly small
@@ -426,9 +429,8 @@ _MIN_SWEEP_GAIN = 1e-5
 
 # Batch set-up and every sweep take starts in chunks of at most this many elements
 # of the (2^m, rows, starts) joint: one chunk for every Anxiety and network batch of
-# 300 (at most 16 x 24 x 300). Set-up of 300 starts over 8 binary parents peaks at
-# 3.8 MiB (tracemalloc), 301 MiB built whole. At 12 blocks, ``_MAX_BLOCKS``,
-# a lone start held twice needs 256 MiB per array (computed), 300 at once 40 GB.
+# 300 (at most 16 x 24 x 300). Set-up of 300 starts over 8 binary parents,
+# ``_MAX_BLOCKS``, peaks at 3.8 MiB (tracemalloc), 301 MiB built whole.
 _DESCENT_CHUNK_ELEMENTS = 1 << 17
 
 
@@ -609,7 +611,7 @@ def _fit_block(structure: _Structure, starts: _Starts, b: int) -> int:
     cum = np.abs(a).take(order * n + np.arange(n))
     # one add per rank costs about as much as cumsum's pass over 64 groups: the adds win
     # on network nodes (2-9 ranks, 600-2700 groups), cumsum on Anxiety's 12-rank blocks
-    # (600 groups) and on ICI over 5 or more binary parents (16-2048 ranks, 4-256 groups)
+    # (600 groups) and on ICI over 5 or more binary parents (16-128 ranks, 4-256 groups)
     if (cum.shape[1] - 1) * 64 < cum.shape[0] * n:
         for k in range(1, cum.shape[1]):
             np.add(cum[:, k - 1], cum[:, k], out=cum[:, k])

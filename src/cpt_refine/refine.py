@@ -323,12 +323,9 @@ def _node_labels(parent_cards: Sequence[int], spec: RefinementSpec) -> np.ndarra
     times the row's index over the parents its :func:`_node` leaves, plus the node's state
     at the row's configuration of the divorced ones (the rule the searches score by)."""
     divorced, states, k = _node(parent_cards, spec)
-    # the rows as a C-order array with an axis per parent, the last first: the node's
-    # states vary along the divorced parents' axes, the remaining index along the others
-    axes = [(c, i in divorced) for i, c in reversed(list(enumerate(parent_cards)))]
-    rest = np.arange(math.prod(c for c, d in axes if not d))
-    return (k * rest.reshape([1 if d else c for c, d in axes])
-            + states.reshape([c if d else 1 for c, d in axes])).ravel()
+    rest = [i for i in range(len(parent_cards)) if i not in divorced]
+    node_rows, rest_rows = _block_rows(parent_cards, [divorced, rest])
+    return k * rest_rows + states[node_rows]
 
 
 def _gate_outputs(sub_cards: Sequence[int], choices: Sequence[Sequence[tuple]]) -> np.ndarray:

@@ -157,13 +157,30 @@ class TestDocuments:
         doc["rows"][0]["probs"] = [1.0]
         self._expect_error(doc, tmp_path, "1 probabilities")
 
-    @pytest.mark.parametrize("sum_row, unknown_row", [(2, 5), (5, 2)])
-    def test_first_faulty_row_is_reported(self, tmp_path, sum_row, unknown_row):
+    # the message tail each fault gives in row 3
+    _FAULTS = {
+        "sum": r" \(.*\) sums to 0\.8, not 1",
+        "unknown": ": unknown state 'Maybe' for Depression",
+        "huge": r" \(.*\) probabilities: int too large to convert to float",
+    }
+
+    @staticmethod
+    def _break(row, fault):
+        if fault == "unknown":
+            row["config"][0] = "Maybe"
+        else:
+            row["probs"] = [0.5, 0.3] if fault == "sum" else [10**400, 0]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("sum", "unknown"), ("unknown", "sum"), ("huge", "unknown"), ("unknown", "huge"),
+         ("sum", "huge")],
+    )
+    def test_first_faulty_row_is_reported(self, tmp_path, first, second):
         doc = self._doc()
-        doc["rows"][sum_row]["probs"] = [0.5, 0.3]
-        doc["rows"][unknown_row]["config"][0] = "Maybe"
-        first = min(sum_row, unknown_row)
-        self._expect_error(doc, tmp_path, f"row {first + 1}[ :]")
+        self._break(doc["rows"][2], first)
+        self._break(doc["rows"][5], second)
+        self._expect_error(doc, tmp_path, "row 3" + self._FAULTS[first] + "$")
 
     @pytest.mark.parametrize(
         "probs, match",

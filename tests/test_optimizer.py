@@ -433,28 +433,30 @@ class TestOptimizeSici:
 
 
 class TestSearchSpaceGuards:
-    """Every ICI/SICI search refuses more than 12 parent blocks before it searches."""
+    """Every ICI/SICI search refuses more than 8 parent blocks before it searches."""
 
-    @pytest.fixture
-    def thirteen_parents(self, monkeypatch):
+    @pytest.fixture(params=[9, 13])
+    def many_parents(self, request, monkeypatch):
         def no_search(*args, **kwargs):
             raise AssertionError("a search ran past the search-space guard")
 
         monkeypatch.setattr(optimizer, "_descend", no_search)
-        return Cpt(BIN, _bin_parents(13), np.full((1 << 13, 2), 0.5))
+        n = request.param
+        return Cpt(BIN, _bin_parents(n), np.full((1 << n, 2), 0.5))
 
-    def test_ici(self, thirteen_parents):
+    def test_ici(self, many_parents):
         with pytest.raises(SearchSpaceError):
-            optimize_ici(thirteen_parents, GaConfig(restarts=1))
+            optimize_ici(many_parents, GaConfig(restarts=1))
 
-    def test_sici_sweep(self, thirteen_parents):
+    def test_sici_sweep(self, many_parents):
         with pytest.raises(SearchSpaceError):
-            optimize_sici(thirteen_parents, GaConfig(restarts=1))
+            optimize_sici(many_parents, GaConfig(restarts=1))
 
-    def test_sici_partition_of_thirteen_singletons(self, thirteen_parents):
-        singletons = tuple((i,) for i in range(13))
-        with pytest.raises(SearchSpaceError, match="13 parent blocks"):
-            optimize_sici_partition(thirteen_parents, singletons, GaConfig(restarts=1))
+    def test_sici_partition_of_singletons(self, many_parents):
+        n = len(many_parents.parents)
+        singletons = tuple((i,) for i in range(n))
+        with pytest.raises(SearchSpaceError, match=f"{n} parent blocks, more than the 8 supported"):
+            optimize_sici_partition(many_parents, singletons, GaConfig(restarts=1))
 
 
 class TestBatchStateGuard:

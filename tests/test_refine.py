@@ -292,6 +292,55 @@ class TestDivorceGroups:
         assert _partition(labels) == _loop_groups(cards, _divorce_key((2, 0), gate, ones))
 
 
+def _loop_node_labels(cards, spec):
+    """K times each row's index over the parents the spec's node leaves (first fastest),
+    plus the node's state at the row, computed row by row."""
+    if isinstance(spec, PruneSpec):
+        divorced, k, node = {spec.parent}, 1, lambda row, states: 0
+    elif isinstance(spec, DivorceSpec):
+        divorced, k = set(spec.divorced), 2
+        pairs = list(zip(spec.divorced, spec.binarization))
+        node = lambda row, states: _gate(spec.gate, [states[i] in b for i, b in pairs])
+    else:
+        divorced, k = set(range(len(cards))), 2
+        node = lambda row, states: spec.assignment[row]
+    labels = []
+    for row, states in enumerate(config_table(cards).tolist()):
+        rest, radix = 0, 1
+        for i, (s, c) in enumerate(zip(states, cards)):
+            if i not in divorced:
+                rest, radix = rest + radix * s, radix * c
+        labels.append(k * rest + node(row, states))
+    return labels
+
+
+class TestNodeLabels:
+    @given(cards=st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=5),
+           kind=st.sampled_from(["prune", "AND", "OR", "XOR", "scm"]), data=st.data())
+    def test_label_values_match_row_loop(self, cards, kind, data):
+        n_rows = math.prod(cards)
+        if kind == "prune":
+            spec = PruneSpec(data.draw(st.integers(min_value=0, max_value=len(cards) - 1)))
+        elif kind == "scm":
+            seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+            assignment = np.random.default_rng(seed).integers(0, 2, n_rows)
+            assume(0 < assignment.sum() < n_rows)
+            spec = ScmSpec(assignment.tolist())
+        else:
+            assume(len(cards) >= 2)
+            # the divorced parents in drawn order, ascending or not
+            divorced = data.draw(st.permutations(range(len(cards))))[
+                : data.draw(st.integers(min_value=2, max_value=len(cards)))
+            ]
+            ones = [
+                data.draw(st.sets(st.integers(min_value=0, max_value=cards[i] - 1),
+                                  min_size=1, max_size=cards[i] - 1))
+                for i in divorced
+            ]
+            spec = DivorceSpec(divorced, kind, ones)
+        assert refine._node_labels(cards, spec).tolist() == _loop_node_labels(cards, spec)
+
+
 def _divorce_oracle(truth):
     """Independent exhaustive search: plain loops and statistics.median."""
     cards = truth.parent_cards
