@@ -29,11 +29,12 @@ import sys
 from pathlib import Path
 
 from . import fixtures as fixture_data
-from .cpt import Cpt, config_table, kl_row, param_count, score_sum_kl, score_sum_tvd, tvd_row
+from .cpt import Cpt, kl_row, param_count, score_sum_kl, score_sum_tvd, tvd_row
 from .errors import SearchSpaceError, ShapeMismatchError, ValidationError
 from .io import (
     ReportRow,
     _config_labels,
+    _row_labels,
     atomic_write_text,
     load_cpt,
     report_csv_text,
@@ -234,9 +235,9 @@ def cmd_score(args) -> int:
     score = (score_sum_kl if kl else score_sum_tvd)(truth, approx)
     if args.verbose:
         row_metric = kl_row if kl else tvd_row
-        states = config_table(truth.parent_cards)
+        configs = _row_labels(truth.parents, str).tolist()
         for k in range(truth.n_rows):
-            labels = _config_labels(truth.parents, states[k])
+            labels = _config_labels(truth.parents, configs[k])
             print(f"row {k + 1:>3} ({labels}): {row_metric(truth.rows[k], approx.rows[k]):.4f}")
     print(f"{score:.4f}")
     return 0

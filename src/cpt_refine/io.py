@@ -15,10 +15,12 @@ The JSON document schema (``"format": 1``)::
 Rows must cover every parent configuration exactly once, in canonical order
 (first listed parent varying fastest). One label table, each configuration's
 parent labels in that order, serves the loader, the writer and the
-side-by-side CSV. The loader checks all rows at once: their configurations
-against the table's label lists, the types of all their probabilities in one
-pass, then the probabilities as one float array. Only when that check fails
-does it go row by row, through one per-row fault finder that also catches an
+side-by-side CSV; it is the loader's one description of a row, and its
+messages and warnings name rows by its labels. The loader checks all rows at
+once: their configurations against the table's label lists, the types of all
+their probabilities in one pass, then the probabilities as one float array.
+Only when that check fails does it go row by row, through one per-row fault
+finder that compares each row's labels with the table's and also catches an
 integer too large for a float, so that an error names the first faulty row.
 The writer lays the document out as ``json.dumps(document, indent=2)`` does,
 filling one row template with every row's labels and probabilities in a
@@ -52,8 +54,8 @@ WARN_TOLERANCE = 1e-9
 _NUMBER_TYPES = frozenset((int, float))  # what JSON numbers load as; bool is not one
 
 
-def _config_labels(cpt_parents: Sequence[Variable], state_row: Sequence[int]) -> str:
-    return ", ".join(f"{v.name}={v.states[s]}" for v, s in zip(cpt_parents, state_row))
+def _config_labels(parents: Sequence[Variable], labels: Sequence[str]) -> str:
+    return ", ".join(f"{v.name}={label}" for v, label in zip(parents, labels))
 
 
 def _row_labels(parents: Sequence[Variable], encode: Callable[[str], str]) -> np.ndarray:
@@ -79,16 +81,11 @@ def _parse_variable(obj, what: str, path: Path) -> Variable:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _row_fault(
-    parents: Sequence[Variable],
-    indices_of: Sequence[dict[str, int]],
-    want: list[int],
-    n_probs: int,
-    entry,
-) -> str | None:
+def _row_fault(parents: Sequence[Variable], want: list[str], n_probs: int, entry) -> str | None:
     """What makes one row entry unreadable, a fault in its structure or a probability
     that is an integer too large for a float, as the tail of a message that starts
-    with its row number, or None. ``want`` is its canonical configuration."""
+    with its row number, or None. ``want`` is its canonical label list; only a
+    ``config`` that differs from it is searched for a label that is no state."""
     if not isinstance(entry, dict):
         return " must be a JSON object"
     config = entry.get("config")
@@ -97,14 +94,12 @@ def _row_fault(
         return " needs 'config' and 'probs' lists"
     if len(config) != len(parents):
         return f" config has {len(config)} entries"
-    try:
-        indices = [index[label] for index, label in zip(indices_of, config)]
-    except (KeyError, TypeError):  # TypeError: an unhashable label
-        v, label = next((v, x) for v, x in zip(parents, config) if x not in v.states)
-        return f": unknown state {label!r} for {v.name}"
-    if indices != want:
+    if config != want:
+        for v, label in zip(parents, config):
+            if label not in v.states:
+                return f": unknown state {label!r} for {v.name}"
         return (
-            f" is ({_config_labels(parents, indices)}); canonical order (first parent "
+            f" is ({_config_labels(parents, config)}); canonical order (first parent "
             f"fastest) expects ({_config_labels(parents, want)}) here - rows must cover "
             "every configuration exactly once in canonical order"
         )
@@ -153,7 +148,8 @@ def load_cpt(path: str | Path) -> Cpt:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer literal too long to parse
+    # bad JSON, bad UTF-8, an integer literal too long to parse, or nesting too deep to parse
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: the document must be a JSON object")
@@ -175,18 +171,16 @@ def load_cpt(path: str | Path) -> Cpt:
         raise ValidationError(
             f"{path}: {len(rows_doc)} rows, need {math.prod(cards)} (one per configuration)"
         )
-    states = config_table(cards)
+    canonical = _row_labels(parents, str).tolist()
     n_probs = child.cardinality
 
     fault = None  # (row index, message tail) of the first faulty row found
-    probs = _well_formed_probs(rows_doc, _row_labels(parents, str).tolist(), n_probs)
+    probs = _well_formed_probs(rows_doc, canonical, n_probs)
     if probs is None:
         # some row is faulty: rows are checked up to the first one, and the
         # probabilities of the rows before it are checked together, in row order
-        expected = states.tolist()
-        indices_of = [{label: i for i, label in enumerate(v.states)} for v in parents]
         for k, entry in enumerate(rows_doc):
-            tail = _row_fault(parents, indices_of, expected[k], n_probs, entry)
+            tail = _row_fault(parents, canonical[k], n_probs, entry)
             if tail is not None:
                 fault = (k, tail)
                 break
@@ -197,7 +191,7 @@ def load_cpt(path: str | Path) -> Cpt:
     bad = (dev > LOAD_TOLERANCE) | ~in_unit_interval(probs).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        labels = _config_labels(parents, states[k])
+        labels = _config_labels(parents, canonical[k])
         if dev[k] > LOAD_TOLERANCE:
             fault = (k, f" ({labels}) sums to {sums[k]:.6g}, not 1")
         else:  # out of range or NaN
@@ -205,7 +199,7 @@ def load_cpt(path: str | Path) -> Cpt:
     n_checked = len(probs) if fault is None else fault[0]
     for k in np.flatnonzero(dev[:n_checked] > WARN_TOLERANCE):
         warnings.warn(
-            f"{path}: row {k + 1} ({_config_labels(parents, states[k])}) off by "
+            f"{path}: row {k + 1} ({_config_labels(parents, canonical[k])}) off by "
             f"{dev[k]:.2e}; renormalising",
             stacklevel=2,
         )

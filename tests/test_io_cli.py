@@ -21,7 +21,7 @@ from cpt_refine.cli import METHODS, build_parser, main
 from cpt_refine.cpt import config_table, in_unit_interval
 from cpt_refine.errors import ValidationError
 from cpt_refine.io import (
-    LOAD_TOLERANCE, SCHEMA_FORMAT, WARN_TOLERANCE, _config_labels, _parse_variable, _row_fault
+    LOAD_TOLERANCE, SCHEMA_FORMAT, WARN_TOLERANCE, _parse_variable
 )
 from cpt_refine.fixtures import FIXTURE_NAMES, fixture_path
 
@@ -209,8 +209,9 @@ class TestDocuments:
         doc = data.draw(st.just(None) | _valid_documents(), label="document")
         if doc is None:
             doc = json.loads(fixture_path("anxiety").read_text())
-        edit = data.draw(st.sampled_from(["none", "field", "repeat-row", "drop-probability"]),
-                         label="edit")
+        edit = data.draw(st.sampled_from(
+            ["none", "field", "repeat-row", "drop-probability", "huge-probability"]
+        ), label="edit")
         if edit == "field":  # as in test_malformed_documents_exit_0_or_2
             *steps, key = data.draw(st.sampled_from(list(_field_paths(doc))), label="field")
             target = doc
@@ -224,6 +225,9 @@ class TestDocuments:
         elif edit == "drop-probability":
             row = data.draw(st.sampled_from(doc["rows"]), label="row")
             row["probs"] = row["probs"][:-1]
+        elif edit == "huge-probability":  # an integer too large for a float
+            row = data.draw(st.sampled_from(doc["rows"]), label="row")
+            row["probs"][0] = data.draw(st.sampled_from([10**400, -(10**400)]), label="integer")
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         assert _load_outcome(load_cpt, path) == _load_outcome(_reference_load_cpt, path)
@@ -285,8 +289,45 @@ def _load_outcome(load, path):
     return result, [str(w.message) for w in caught]
 
 
+def _reference_labels(parents, indices) -> str:
+    return ", ".join(f"{v.name}={v.states[s]}" for v, s in zip(parents, indices))
+
+
+def _reference_row_fault(parents, indices_of, want, n_probs, entry):
+    """The structure rules for one row, stated through state indices: ``indices_of``
+    maps each parent's labels to indices and ``want`` is the row's canonical indices.
+    The message tail of the first rule the row breaks, or None."""
+    labels = lambda indices: _reference_labels(parents, indices)
+    if not isinstance(entry, dict):
+        return " must be a JSON object"
+    config = entry.get("config")
+    probs = entry.get("probs")
+    if not isinstance(config, list) or not isinstance(probs, list):
+        return " needs 'config' and 'probs' lists"
+    if len(config) != len(parents):
+        return f" config has {len(config)} entries"
+    try:
+        indices = [index[label] for index, label in zip(indices_of, config)]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        v, label = next((v, x) for v, x in zip(parents, config) if x not in v.states)
+        return f": unknown state {label!r} for {v.name}"
+    if indices != want:
+        return (
+            f" is ({labels(indices)}); canonical order (first parent fastest) expects "
+            f"({labels(want)}) here - rows must cover every configuration exactly once "
+            "in canonical order"
+        )
+    if len(probs) != n_probs:
+        return f" ({labels(want)}) has {len(probs)} probabilities, need {n_probs}"
+    if not all(type(p) in (int, float) for p in probs):  # bool is not a JSON number
+        return f" ({labels(want)}) probabilities must be numbers"
+    return None
+
+
 def _reference_load_cpt(path: str | Path) -> Cpt:
-    """The row-by-row loader that the bulk check in load_cpt replaces, kept as its oracle."""
+    """The row-by-row loader that the bulk check in load_cpt replaces, kept as its oracle.
+    Its row rules are its own, and an integer too large for a float is found by a
+    rescan of the rows that pass them."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -313,7 +354,7 @@ def _reference_load_cpt(path: str | Path) -> Cpt:
             f"{path}: {len(rows_doc)} rows, need {math.prod(cards)} (one per configuration)"
         )
     expected = config_table(cards).tolist()
-    labels = lambda k: _config_labels(parents, expected[k])
+    labels = lambda k: _reference_labels(parents, expected[k])
     indices_of = [{label: i for i, label in enumerate(v.states)} for v in parents]
     n_probs = child.cardinality
 
@@ -322,7 +363,7 @@ def _reference_load_cpt(path: str | Path) -> Cpt:
     table = []
     fault = None  # (row index, message tail) of the first faulty row found
     for k, entry in enumerate(rows_doc):
-        tail = _row_fault(parents, indices_of, expected[k], n_probs, entry)
+        tail = _reference_row_fault(parents, indices_of, expected[k], n_probs, entry)
         if tail is not None:
             fault = (k, tail)
             break
@@ -445,7 +486,14 @@ class TestScoreCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 25  # 24 rows plus the total
-        assert "Depression=No" in lines[0]
+        # each row's configuration and TVD, from the documents read as plain JSON
+        truth, approx = (json.loads(fixture_path(name).read_text())
+                         for name in ("anxiety", "anxiety_pruning"))
+        names = [v["name"] for v in truth["parents"]]
+        for k, (line, row, other) in enumerate(zip(lines, truth["rows"], approx["rows"])):
+            labels = ", ".join(f"{n}={label}" for n, label in zip(names, row["config"]))
+            tvd = 0.5 * sum(abs(p - q) for p, q in zip(row["probs"], other["probs"]))
+            assert line == f"row {k + 1:>3} ({labels}): {tvd:.4f}"
 
     def test_shape_mismatch_exits_3(self, capsys, tmp_path):
         rng = np.random.default_rng(31)
@@ -510,6 +558,23 @@ class TestScoreCommand:
         code, _, err = _run(capsys, ["score", str(bad), str(bad)])
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format": 1, "child": ' + "[" * 200_000 + "]" * 200_000 + "}",
+            _anxiety_with(lambda doc: doc["rows"][0].update(probs="deep")).replace(
+                '"deep"', "[" * 100_000 + "]" * 100_000
+            ),
+        ],
+        ids=["deep-child", "deep-probabilities"],
+    )
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, text):
+        bad = tmp_path / "deep.json"
+        bad.write_text(text)
+        code, out, err = _run(capsys, ["score", str(bad), str(bad)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: not valid JSON: ")
 
     @pytest.mark.parametrize(
         "argv",
