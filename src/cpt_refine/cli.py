@@ -14,8 +14,9 @@ Subcommands::
 Exit codes: 0 success, 2 validation failure or a file that cannot be read or
 written, 3 shape or variable mismatch, 4 search space guard exceeded. The SICI
 partition sweep runs its partitions one after another in this process and
-prints a progress line after each one. ``reproduce`` runs it once: the best
-is the SICI row, and the singleton partition (ICI itself) is the ICI row.
+prints a progress line after each one. ``sici`` without ``--partition`` then
+prints one report row per partition, best first. ``reproduce`` runs it once:
+the best is the SICI row, and the singleton partition (ICI itself) is the ICI row.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--partition",
         help='parent partition like "Hypertension | Depression,Sex,SleepDuration" '
-        "(default: sweep every multi-block partition)",
+        "(default: sweep every multi-block partition and print each one's fit)",
     )
     p.add_argument("--out", help="write the expanded approximate CPT here")
     _add_ga_flags(p)
@@ -364,9 +365,22 @@ def cmd_sici(args) -> int:
         partition = _parse_partition(truth, args.partition)
         search = optimize_sici_partition(truth, partition, _ga_config(args))
     else:
-        search = _sweep(truth, args).best
+        sweep = _sweep(truth, args)
+        ranked = sorted(sweep.results, key=lambda r: r.best_score)  # stable: ties keep sweep order
+        print(_report(truth, [("sici", r.best_spec, r.fit) for r in ranked])[1], end="")
+        search = sweep.best
     _emit_result(truth, search.best_spec, search.fit, args.out)
     return 0
+
+
+def _report(
+    truth: Cpt, named: list[tuple[str, RefinementSpec, ApproxResult]]
+) -> tuple[list[ReportRow], str]:
+    """The report rows of (method, spec, fit) triples and their aligned text table."""
+    full = param_count(truth.parent_cards, truth.child.cardinality)
+    rows = [ReportRow(name, res.score, res.free_params, full - res.free_params,
+                      spec_summary(truth, spec)) for name, spec, res in named]
+    return rows, report_text(rows, full)
 
 
 def cmd_reproduce(args) -> int:
@@ -391,12 +405,7 @@ def cmd_reproduce(args) -> int:
         ("ici", ici_search.best_spec, ici_search.fit),
         ("sici", sici_search.best_spec, sici_search.fit),
     ]
-    full = param_count(truth.parent_cards, truth.child.cardinality)
-    rows = [
-        ReportRow(name, res.score, res.free_params, full - res.free_params,
-                  spec_summary(truth, spec))
-        for name, spec, res in named
-    ]
+    rows, text = _report(truth, named)
 
     atomic_write_text(out, report_csv_text(rows))
     side, *docs = _beside_report(out)
@@ -404,7 +413,7 @@ def cmd_reproduce(args) -> int:
     for doc, (_, _, res) in zip(docs, named):
         save_cpt(res.cpt, doc)
 
-    print(report_text(rows, full), end="")
+    print(text, end="")
     print("wrote: " + ", ".join(str(p) for p in [out, side, *docs]))
     return 0
 

@@ -302,7 +302,7 @@ def report_csv_text(rows: Sequence[ReportRow]) -> str:
 
 
 def report_text(rows: Sequence[ReportRow], shape_free_params: int) -> str:
-    width = max(len(r.method) for r in rows)
+    width = max(len("method"), *(len(r.method) for r in rows))
     lines = [
         f"{'method':<{width}}  {'score':>8}  {'params':>6}  {'savings':>7}  spec",
         f"{'-' * width}  {'-' * 8}  {'-' * 6}  {'-' * 7}  {'-' * 4}",

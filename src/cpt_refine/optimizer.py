@@ -692,17 +692,21 @@ def optimize_sici_partition(
     ``on_progress`` receives (candidate scores so far, the batch's best)
     after each sweep. The result carries the best spec's re-scored fit, so
     its score equals what :func:`evaluate_spec` gives for that spec bitwise.
-    Every ICI and SICI search runs here, so it holds their guards, among them
-    at most ``_MAX_BLOCKS`` blocks and a batch state of at most
-    ``_MAX_BATCH_VALUES`` values (SearchSpaceError).
+    Every ICI and SICI search runs here, so it holds their guards: a binary
+    child and a partition that covers the parents in at least two blocks
+    (ValidationError, ShapeMismatchError), at most ``_MAX_BLOCKS`` blocks and a
+    batch state of at most ``_MAX_BATCH_VALUES`` values (SearchSpaceError).
+    One block is the full CPT behind a deterministic combiner, which the
+    descent cannot fit: each sweep flips the combiner before it refits the
+    mechanism, so a start that maps every mechanism state to 0 stays there.
     """
     _require_binary(truth.child, "the SICI objective")
     part = canonical_partition(partition)
-    if not part:
-        raise ValidationError("the SICI objective needs at least one parent")
     if len(part) > _MAX_BLOCKS:
         raise SearchSpaceError(f"{len(part)} parent blocks, more than the {_MAX_BLOCKS} supported")
     _check_covers(part, len(truth.parents))
+    if len(part) < 2:
+        raise ValidationError(f"an ICI/SICI search needs at least 2 parent blocks, got {len(part)}")
     structure = _Structure.of(truth, part)
     values = config.population * (len(structure.t_yes) + sum(structure.sizes) + (1 << len(part)))
     if values > _MAX_BATCH_VALUES:

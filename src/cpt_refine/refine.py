@@ -96,7 +96,7 @@ class DivorceSpec:
 
     ``binarization`` holds, per divorced parent, the set of its state
     indices that map to gate input 1 (every other state maps to 0). It must
-    be a proper nonempty subset of the parent's states.
+    be a proper nonempty subset of the parent's states, each named once.
     """
 
     divorced: tuple[int, ...]
@@ -116,6 +116,8 @@ class DivorceSpec:
             raise ValidationError("divorced parents must be distinct")
         if len(self.binarization) != len(self.divorced):
             raise ValidationError("need one binarization per divorced parent")
+        if any(len(set(b)) != len(b) for b in self.binarization):
+            raise ValidationError("a binarization names each state at most once")
 
 
 @dataclass(frozen=True)
@@ -301,7 +303,7 @@ def _node(cards: Sequence[int], spec: RefinementSpec) -> tuple[tuple, np.ndarray
         for i, b in zip(spec.divorced, spec.binarization):
             if not 0 <= i < len(cards):
                 raise ValidationError(f"parent index {i} out of range")
-            if not b or len(set(b)) >= cards[i] or any(not 0 <= s < cards[i] for s in b):
+            if not b or len(b) >= cards[i] or any(not 0 <= s < cards[i] for s in b):
                 raise ValidationError(
                     f"binarization for parent {i} must be a proper nonempty subset of its states"
                 )

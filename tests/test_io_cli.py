@@ -15,13 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cpt_refine import (
-    Cpt, GaConfig, Variable, load_cpt, optimize_sici, save_cpt, score_sum_tvd
+    Cpt, GaConfig, Variable, load_cpt, optimize_sici, param_savings, save_cpt, score_sum_tvd
 )
 from cpt_refine.cli import METHODS, build_parser, main
 from cpt_refine.cpt import config_table, in_unit_interval
 from cpt_refine.errors import ValidationError
 from cpt_refine.io import (
-    LOAD_TOLERANCE, SCHEMA_FORMAT, WARN_TOLERANCE, _parse_variable
+    LOAD_TOLERANCE, SCHEMA_FORMAT, WARN_TOLERANCE, ReportRow, _parse_variable, report_text
 )
 from cpt_refine.fixtures import FIXTURE_NAMES, fixture_path
 
@@ -984,6 +984,17 @@ class TestMethodCommands:
         assert code == 2 and out == ""
         assert err == f"error: partition {partition!r} names Depression twice\n"
 
+    def test_sici_one_block_partition_exits_2(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran on a one-block partition")
+
+        monkeypatch.setattr("cpt_refine.optimizer._descend", no_search)
+        argv = ["sici", str(fixture_path("anxiety")),
+                "--partition", "Depression,Hypertension,Sex,SleepDuration"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: an ICI/SICI search needs at least 2 parent blocks, got 1\n"
+
     def test_fixtures_command(self, capsys, tmp_path):
         dest = tmp_path / "data"
         code, out, _ = _run(capsys, ["fixtures", "--dest", str(dest)])
@@ -991,6 +1002,63 @@ class TestMethodCommands:
         assert sorted(p.name for p in dest.iterdir()) == sorted(
             f"{n}.json" for n in FIXTURE_NAMES
         )
+
+
+class TestSiciSweepTable:
+    """``sici`` without ``--partition`` prints a report row per searched partition."""
+
+    @staticmethod
+    def _rows(out: str) -> list[str]:
+        return [line for line in out.splitlines() if line.startswith("sici ")]
+
+    def test_rows_are_the_sweeps_fits_best_first(self, capsys, anxiety):
+        code, out, err = _run(capsys, ["sici", str(fixture_path("anxiety")), "--restarts", "1"])
+        assert code == 0, err
+        sweep = optimize_sici(anxiety, GaConfig(restarts=1))
+        # a stable sort: the tied partitions keep the sweep's order
+        ranked = sorted(sweep.results, key=lambda r: r.best_score)
+        rows = self._rows(out)
+        assert len(rows) == len(ranked) == 14
+        names = [v.name for v in anxiety.parents]
+        summaries = []
+        for row, result in zip(rows, ranked):
+            spec = result.best_spec
+            free, savings = param_savings(spec, anxiety.parent_cards, 2)
+            summaries.append("mechanism blocks " + " | ".join(
+                "{" + ", ".join(names[i] for i in b) + "}" for b in spec.parent_partition))
+            assert row.split()[:4] == ["sici", f"{result.best_score:.4f}", str(free), str(savings)]
+            assert row.endswith(f"  {summaries[-1]}")
+        assert sweep.best is ranked[0]
+        assert out.splitlines()[-3:] == [
+            f"spec: {summaries[0]}",
+            f"score: {sweep.best.best_score:.4f}",
+            f"free parameters: {sweep.best.fit.free_params}",
+        ]
+
+    def test_two_parents_give_one_row(self, capsys, tmp_path):
+        truth_path = tmp_path / "two.json"
+        save_cpt(random_cpt(np.random.default_rng(52), (2, 2)), truth_path)
+        code, out, err = _run(capsys, ["sici", str(truth_path), "--restarts", "1"])
+        assert code == 0, err
+        (row,) = self._rows(out)
+        assert row.endswith("  mechanism blocks {X0} | {X1}")
+
+    def test_explicit_partition_prints_no_table(self, capsys):
+        code, out, err = _run(capsys, ["sici", str(fixture_path("anxiety")), "--restarts", "1",
+                                       "--partition", "Hypertension | Depression,Sex,SleepDuration"])
+        assert code == 0, err
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "spec", "score", "free parameters"
+        ]
+
+    def test_header_stays_aligned_over_short_method_names(self):
+        text = report_text([ReportRow("ici", 0.4858, 9, 15, "per-parent mechanisms")], 24)
+        assert text.splitlines() == [
+            "method     score  params  savings  spec",
+            "------  --------  ------  -------  ----",
+            "ici       0.4858       9       15  per-parent mechanisms",
+            "(full CPT: 24 free parameters)",
+        ]
 
 
 # the ICI/SICI search flags of the comparisons below

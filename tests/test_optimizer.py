@@ -431,6 +431,21 @@ class TestOptimizeSici:
             with pytest.raises(ShapeMismatchError, match="cover exactly the parents"):
                 optimize_sici_partition(anxiety, partition, config)
 
+    def test_one_block_rejected_before_searching(self, anxiety, monkeypatch):
+        # one block is the full CPT behind a combiner; the descent flipped that
+        # combiner's free bit to 0 and ended at the constant model, 3.3887 on
+        # Anxiety where the same structure fits exactly
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran on a one-block partition")
+
+        monkeypatch.setattr(optimizer, "_descend", no_search)
+        config = GaConfig(population=10, restarts=1)
+        with pytest.raises(ValidationError, match="at least 2 parent blocks, got 1"):
+            optimize_sici_partition(anxiety, ((0, 1, 2, 3),), config)
+        one_parent = random_cpt(np.random.default_rng(3), (3,))
+        with pytest.raises(ValidationError, match="at least 2 parent blocks, got 1"):
+            optimize_ici(one_parent, config)
+
 
 class TestSearchSpaceGuards:
     """Every ICI/SICI search refuses more than 8 parent blocks before it searches."""

@@ -269,6 +269,11 @@ class TestDivorceGroups:
         with pytest.raises(ValidationError):
             DivorceSpec((0,), "AND", ((1,),))
 
+    def test_rejects_state_named_twice(self):
+        # it would fit as ((1,), (2,)) yet compare unequal to that spec
+        with pytest.raises(ValidationError, match="each state at most once"):
+            DivorceSpec((1, 3), "AND", ((1, 1), (2, 2)))
+
     @given(cards=st.lists(st.integers(min_value=2, max_value=4), min_size=2, max_size=4),
            gate=st.sampled_from(("AND", "OR", "XOR")), data=st.data())
     def test_matches_loop_construction(self, cards, gate, data):
